@@ -9,6 +9,7 @@ treats the Earth as a sphere of radius 6371 km.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -183,6 +184,16 @@ def _derive_kinematics(points):
 
 
 @dataclass(frozen=True)
+class CatalogColumns:
+    """Every track point of a catalog as flat arrays, in storm order."""
+
+    lon: np.ndarray
+    lat: np.ndarray
+    vorticity: np.ndarray
+    storm: np.ndarray  # index into Catalog.storms of each point
+
+
+@dataclass(frozen=True)
 class Catalog:
     """A set of storm tracks spanning `years_of_record` years."""
 
@@ -204,6 +215,17 @@ class Catalog:
 
     def n_points(self) -> int:
         return sum(len(s) for s in self.storms)
+
+    @functools.cached_property
+    def columns(self) -> CatalogColumns:
+        """Columnar view of the track points, built on first use."""
+        points = [p for s in self.storms for p in s.points]
+        return CatalogColumns(
+            lon=np.array([p.lon for p in points]),
+            lat=np.array([p.lat for p in points]),
+            vorticity=np.array([p.vorticity for p in points]),
+            storm=np.repeat(np.arange(len(self.storms)), [len(s) for s in self.storms]),
+        )
 
 
 def load_catalog(path, years_of_record: float | None = None) -> Catalog:

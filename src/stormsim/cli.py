@@ -124,8 +124,7 @@ def cmd_fit(config: dict) -> int:
         _config_echo(config) + "\n" + engine.fit_report(bundle), encoding="utf-8"
     )
 
-    w_tracks, _ = engine.laplace_tracks(bundle, catalog)
-    w = np.concatenate([t[np.isfinite(t)] for t in w_tracks])
+    w = np.concatenate([t[np.isfinite(t)] for t in engine.residual_tracks(bundle.preproc, catalog)])
     grid = np.quantile(w, np.linspace(0.5, 0.995, config["diagnose"]["mrl_points"]))
     rows = evt.mean_residual_life(w, grid)
     _write_csv(out_dir / "mrl.csv",
@@ -231,18 +230,10 @@ def cmd_risk(config: dict) -> int:
     # per-cell return-period map on the risk grid
     cell_grid = build_grid(catalog, dlon=float(rcfg["grid_dlon"]), dlat=float(rcfg["grid_dlat"]))
     omega = float(rcfg["cell_omega"])
-    cell_rows = []
-    for cell in sorted(cell_grid.active_cells):
-        lon_c, lat_c = cell_grid.cell_center(cell)
-        region = risk.Region(
-            lon_c - cell_grid.dlon / 2, lon_c + cell_grid.dlon / 2,
-            lat_c - cell_grid.dlat / 2, lat_c + cell_grid.dlat / 2,
-        )
-        try:
-            per = risk.return_period(catalog, region, omega, n_boot=0)
-            cell_rows.append((cell[0], cell[1], lon_c, lat_c, omega, per.estimate, per.note))
-        except risk.UndefinedRegionError:
-            cell_rows.append((cell[0], cell[1], lon_c, lat_c, omega, float("nan"), "undefined-region"))
+    cell_rows = [
+        (cell[0], cell[1], lon_c, lat_c, omega, years, note)
+        for cell, lon_c, lat_c, years, note in risk.cell_return_periods(catalog, cell_grid, omega)
+    ]
     _write_csv(out_dir / "cell_return_periods.csv",
                ["cell_i", "cell_j", "lon", "lat", "omega", "years", "note"],
                cell_rows, config)

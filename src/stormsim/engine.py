@@ -223,32 +223,42 @@ def _arrival_covariates(storm: StormTrack):
     return lon, lat, bearing, speed
 
 
+def residual_tracks(preproc: preprocess.PreprocFit, catalog: Catalog) -> list[np.ndarray]:
+    """Per-storm preprocessed W series (NaN where preprocessing does not apply)."""
+    w_tracks = []
+    for storm in catalog.storms:
+        w = np.full(len(storm), np.nan)
+        lon, lat, bearing, speed = _arrival_covariates(storm)
+        inside = preprocess.in_window(lon, lat, preproc.window)
+        if np.any(inside):
+            w[1:][inside] = preprocess.to_residual(
+                storm.vorticities[1:][inside],
+                (lon[inside], lat[inside], bearing[inside], speed[inside]),
+                preproc,
+            )
+        w_tracks.append(w)
+    return w_tracks
+
+
+def _laplace_of(w_tracks, marginal: evt.MixtureMarginal) -> list[np.ndarray]:
+    s_tracks = []
+    for w in w_tracks:
+        s = np.full(w.size, np.nan)
+        finite = np.isfinite(w)
+        if np.any(finite):
+            s[finite] = evt.to_laplace(w[finite], marginal)
+        s_tracks.append(s)
+    return s_tracks
+
+
 def laplace_tracks(bundle_or_parts, catalog: Catalog):
     """Per-storm W and S series (NaN where preprocessing does not apply)."""
     if isinstance(bundle_or_parts, ModelBundle):
         preproc, marginal = bundle_or_parts.preproc, bundle_or_parts.marginal
     else:
         preproc, marginal = bundle_or_parts
-    w_tracks, s_tracks = [], []
-    for storm in catalog.storms:
-        m = len(storm)
-        w = np.full(m, np.nan)
-        lon, lat, bearing, speed = _arrival_covariates(storm)
-        inside = preprocess.in_window(lon, lat, preproc.window)
-        if np.any(inside):
-            w_vals = preprocess.to_residual(
-                storm.vorticities[1:][inside],
-                (lon[inside], lat[inside], bearing[inside], speed[inside]),
-                preproc,
-            )
-            w[1:][inside] = w_vals
-        s = np.full(m, np.nan)
-        finite = np.isfinite(w)
-        if np.any(finite):
-            s[finite] = evt.to_laplace(w[finite], marginal)
-        w_tracks.append(w)
-        s_tracks.append(s)
-    return w_tracks, s_tracks
+    w_tracks = residual_tracks(preproc, catalog)
+    return w_tracks, _laplace_of(w_tracks, marginal)
 
 
 def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
@@ -332,19 +342,7 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
     )
 
     # W series feed the marginal, which then maps them onto Laplace margins
-    w_tracks = []
-    for storm in catalog.storms:
-        m = len(storm)
-        w = np.full(m, np.nan)
-        lon, lat, bearing, spd = _arrival_covariates(storm)
-        inside = preprocess.in_window(lon, lat, preproc.window)
-        if np.any(inside):
-            w[1:][inside] = preprocess.to_residual(
-                storm.vorticities[1:][inside],
-                (lon[inside], lat[inside], bearing[inside], spd[inside]),
-                preproc,
-            )
-        w_tracks.append(w)
+    w_tracks = residual_tracks(preproc, catalog)
     pooled_w = np.concatenate([w[np.isfinite(w)] for w in w_tracks])
     marginal = evt.fit_mixture(
         pooled_w, config.gpd_threshold,
@@ -357,15 +355,8 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
         if config.u_laplace is not None
         else float(evt.to_laplace(config.gpd_threshold, marginal))
     )
-    s_tracks = []
-    for w in w_tracks:
-        s = np.full(w.size, np.nan)
-        finite = np.isfinite(w)
-        if np.any(finite):
-            s[finite] = evt.to_laplace(w[finite], marginal)
-        s_tracks.append(s)
     condex = condex_mod.fit_condex(
-        s_tracks, k=k, u_laplace=u_laplace,
+        _laplace_of(w_tracks, marginal), k=k, u_laplace=u_laplace,
         min_events=config.min_condex_events, residual_scale=config.bw_residuals,
     )
 
@@ -535,7 +526,10 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
         s_window = np.full(recent_w.size, np.nan)
         finite = np.isfinite(recent_w)
         s_window[finite] = evt.to_laplace(recent_w[finite], bundle.marginal)
-        for _ in range(2):  # one redraw on an invalid or sub-floor inversion
+        # with u_laplace above the Laplace image of the GPD threshold, a W
+        # excess need not be a Laplace excess; the body sampler then draws
+        laplace_excess = condex_mod.effective_order(s_window, bundle.condex.u_laplace, k) >= 1
+        for _ in range(2 if laplace_excess else 0):  # one redraw on an invalid or sub-floor inversion
             s_new = condex_mod.step_tail_chain(bundle.condex, s_window, rng)
             w_new = float(evt.from_laplace(s_new, bundle.marginal))
             try:
@@ -872,28 +866,28 @@ def bundle_to_json(bundle: ModelBundle) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def bundle_from_json(text: str) -> ModelBundle:
-    doc = json.loads(text)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"bundle schema version {version} != {SCHEMA_VERSION}")
-    g = doc["grid"]
-    grid = GridSpec(
+def _grid_from_json(g):
+    return GridSpec(
         lon0=g["lon0"], lat0=g["lat0"], dlon=g["dlon"], dlat=g["dlat"],
         active_cells=frozenset(tuple(c) for c in g["active_cells"]),
         min_count=g["min_count"],
         extent=tuple(g["extent"]) if g["extent"] else None,
     )
-    p = doc["preproc"]
-    preproc_fit = preprocess.PreprocFit(
+
+
+def _preproc_from_json(p):
+    return preprocess.PreprocFit(
         lam=p["lam"], mu_coef=np.array(p["mu_coef"]), sigma_coef=np.array(p["sigma_coef"]),
         quadratic=p["quadratic"], col_mean=np.array(p["col_mean"]),
         col_scale=np.array(p["col_scale"]), window=tuple(p["window"]),
         loglik=p["loglik"], n=p["n"], w_mean=p["w_mean"], w_sd=p["w_sd"],
     )
-    gp = doc["marginal"]["gpd"]
-    marginal = evt.MixtureMarginal(
-        body=_kde_from_json(doc["marginal"]["body"]),
+
+
+def _marginal_from_json(m):
+    gp = m["gpd"]
+    return evt.MixtureMarginal(
+        body=_kde_from_json(m["body"]),
         gpd=evt.GpdFit(
             threshold=gp["threshold"], scale=gp["scale"], shape=gp["shape"],
             exceed_rate=gp["exceed_rate"], n_exceed=gp["n_exceed"],
@@ -901,15 +895,19 @@ def bundle_from_json(text: str) -> ModelBundle:
             loglik=gp["loglik"],
         ),
     )
-    c = doc["condex"]
-    condex_fit = condex_mod.CondExFit(
+
+
+def _condex_from_json(c):
+    return condex_mod.CondExFit(
         k=c["k"], u_laplace=c["u_laplace"], alpha=np.array(c["alpha"]),
         beta=np.array(c["beta"]), residuals=np.array(c["residuals"]),
         residual_kde=_kde_from_json(c["residual_kde"]), n_events=c["n_events"],
         boundary=np.array(c["boundary"], dtype=bool),
     )
-    h = doc["hazard"]
-    hazard_fit = gam.GamFit(
+
+
+def _hazard_from_json(h):
+    return gam.GamFit(
         covariates=tuple(h["covariates"]),
         bases=tuple(
             gam.SplineBasis(covariate=b["covariate"], knots=np.array(b["knots"]),
@@ -923,29 +921,54 @@ def bundle_from_json(text: str) -> ModelBundle:
         gcv_score=h["gcv_score"], aic=h["aic"], edf=h["edf"], deviance=h["deviance"],
         n_rows=h["n_rows"], converged=h["converged"], min_age=h["min_age"],
     )
-    cfg_raw = dict(doc["config"])
-    cfg_raw["window"] = tuple(cfg_raw["window"])
-    cfg_raw["gam_covariates"] = tuple(cfg_raw["gam_covariates"])
-    config = FitConfig(**cfg_raw)
-    return ModelBundle(
-        k=doc["k"],
-        grid=grid,
-        storms_per_year=doc["storms_per_year"],
-        min_vorticity=doc["min_vorticity"],
-        min_speed=doc["min_speed"],
-        genesis_location=_kde_from_json(doc["genesis_location"]),
-        genesis_conditions=_cellset_from_json(doc["genesis_conditions"]),
-        direction=_cellset_from_json(doc["direction"]),
-        speed=_cellset_from_json(doc["speed"]),
-        vorticity_body=_cellset_from_json(doc["vorticity_body"]),
-        preproc=preproc_fit,
-        marginal=marginal,
-        condex=condex_fit,
-        hazard_fit=hazard_fit,
-        config=config,
-        u_laplace=doc["u_laplace"],
-        schema_version=doc["schema_version"],
-    )
+
+
+def _config_from_json(cfg):
+    cfg = dict(cfg)
+    cfg["window"] = tuple(cfg["window"])
+    cfg["gam_covariates"] = tuple(cfg["gam_covariates"])
+    return FitConfig(**cfg)
+
+
+_BUNDLE_FIELDS = {
+    "k": None, "storms_per_year": None, "min_vorticity": None, "min_speed": None,
+    "u_laplace": None, "grid": _grid_from_json,
+    "genesis_location": _kde_from_json, "genesis_conditions": _cellset_from_json,
+    "direction": _cellset_from_json, "speed": _cellset_from_json,
+    "vorticity_body": _cellset_from_json, "preproc": _preproc_from_json,
+    "marginal": _marginal_from_json, "condex": _condex_from_json,
+    "hazard": _hazard_from_json, "config": _config_from_json,
+}
+
+
+def bundle_from_json(text: str) -> ModelBundle:
+    """Inverse of :func:`bundle_to_json`.
+
+    Raises:
+        ValidationError: the text is not JSON, has another schema version, or
+            misses or mangles a field (the message names it).
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bundle is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("bundle is not a JSON object")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValidationError(f"bundle schema version {version} != {SCHEMA_VERSION}")
+    parts = {}
+    for name, parse in _BUNDLE_FIELDS.items():
+        if name not in doc:
+            raise ValidationError(f"bundle is missing field {name!r}")
+        try:
+            parts[name] = parse(doc[name]) if parse else doc[name]
+        except KeyError as exc:
+            raise ValidationError(f"bundle field {name!r} is missing {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, AttributeError, IndexError, ValidationError) as exc:
+            raise ValidationError(f"bundle field {name!r} is invalid: {exc}") from exc
+    parts["hazard_fit"] = parts.pop("hazard")
+    return ModelBundle(**parts, schema_version=version)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -51,24 +51,44 @@ class RiskResult:
     note: str = ""
 
 
+def _region_points(catalog: Catalog, region: Region):
+    """Columns of the catalog and the mask of its points inside the region.
+
+    Raises:
+        UndefinedRegionError: no catalog point falls inside the region.
+    """
+    cols = catalog.columns
+    inside = region.contains(cols.lon, cols.lat)
+    if not inside.any():
+        raise UndefinedRegionError(f"no catalog points in region {region}")
+    return cols, inside
+
+
 def _per_storm_counts(catalog: Catalog, region: Region, omega: float):
-    """Per-storm (points in region, exceedances in region) sufficient statistics."""
-    num = np.empty(len(catalog.storms), dtype=float)
-    den = np.empty(len(catalog.storms), dtype=float)
-    for i, storm in enumerate(catalog.storms):
-        inside = region.contains(storm.lons, storm.lats)
-        den[i] = inside.sum()
-        num[i] = np.sum(inside & (storm.vorticities > omega))
+    """Per-storm (exceedances in region, points in region) sufficient statistics."""
+    cols, inside = _region_points(catalog, region)
+    n = len(catalog.storms)
+    num = np.bincount(cols.storm[inside & (cols.vorticity > omega)], minlength=n)
+    den = np.bincount(cols.storm[inside], minlength=n)
     return num, den
 
 
-def _percentile_interval(reps, level):
-    # replicates may hold inf (zero exceedances) or NaN (undefined resample);
-    # both propagate into the interval by design
-    alpha = (1.0 - level) / 2.0
+def _percentile(reps, q):
     with np.errstate(invalid="ignore"):
-        return (float(np.percentile(reps, 100 * alpha)),
-                float(np.percentile(reps, 100 * (1 - alpha))))
+        value = float(np.percentile(reps, q))
+    if math.isnan(value) and not np.isnan(reps).any():
+        # numpy interpolates next to an infinite replicate as inf - inf =
+        # NaN, even at zero weight; replicates are never -inf, so the limit
+        # is what "higher" picks: +inf, or the value itself at zero weight
+        value = float(np.percentile(reps, q, method="higher"))
+    return value
+
+
+def _percentile_interval(reps, level):
+    # replicates may hold inf (zero exceedances), which bounds the interval
+    # at +inf, or NaN (undefined resample), which propagates by design
+    alpha = (1.0 - level) / 2.0
+    return _percentile(reps, 100 * alpha), _percentile(reps, 100 * (1 - alpha))
 
 
 def _ratio_bootstrap_ci(num, den, n_boot, level, seed):
@@ -95,8 +115,6 @@ def exceedance_prob(catalog: Catalog, region: Region, omega: float,
         UndefinedRegionError: no catalog point falls inside the region.
     """
     num, den = _per_storm_counts(catalog, region, omega)
-    if den.sum() == 0:
-        raise UndefinedRegionError(f"no catalog points in region {region}")
     return RiskResult(
         estimate=float(num.sum() / den.sum()),
         ci=_ratio_bootstrap_ci(num, den, n_boot, level, seed),
@@ -111,8 +129,6 @@ def max_exceedance_prob(catalog: Catalog, region: Region, omega: float,
     num, den = _per_storm_counts(catalog, region, omega)
     storm_hit = (num > 0).astype(float)
     storm_in = (den > 0).astype(float)
-    if storm_in.sum() == 0:
-        raise UndefinedRegionError(f"no catalog points in region {region}")
     return RiskResult(
         estimate=float(storm_hit.sum() / storm_in.sum()),
         ci=_ratio_bootstrap_ci(storm_hit, storm_in, n_boot, level, seed),
@@ -121,44 +137,28 @@ def max_exceedance_prob(catalog: Catalog, region: Region, omega: float,
     )
 
 
-def _region_vorticities(catalog: Catalog, region: Region) -> np.ndarray:
-    vals = []
-    for storm in catalog.storms:
-        inside = region.contains(storm.lons, storm.lats)
-        if np.any(inside):
-            vals.append(storm.vorticities[inside])
-    if not vals:
-        raise UndefinedRegionError(f"no catalog points in region {region}")
-    return np.concatenate(vals)
-
-
 def return_period(catalog: Catalog, region: Region, omega: float,
                   n_boot: int = 200, level: float = 0.95, seed: int = 0) -> RiskResult:
     """Years per expected exceedance of `omega` inside the region.
 
     1 / (annual exceedance rate); infinite when nothing in the record
-    exceeds `omega` (note "infinite-period").
+    exceeds `omega` (note "infinite-period").  A bootstrap replicate with no
+    exceedance is infinite too, which can make the upper bound +inf.
     """
-    vals = _region_vorticities(catalog, region)
+    num, den = _per_storm_counts(catalog, region, omega)
     years = catalog.years_of_record
-    count = int(np.sum(vals > omega))
+    count, n_in = int(num.sum()), int(den.sum())
     if count == 0:
-        return RiskResult(math.inf, None, 0, vals.size, note="infinite-period")
+        return RiskResult(math.inf, None, 0, n_in, note="infinite-period")
     ci = None
     if n_boot > 0:
         rng = np.random.default_rng(seed)
         reps = np.empty(n_boot)
-        storms = catalog.storms
         for b in range(n_boot):
-            idx = rng.integers(0, len(storms), size=len(storms))
-            c = sum(
-                int(np.sum(region.contains(storms[i].lons, storms[i].lats)
-                           & (storms[i].vorticities > omega)))
-                for i in idx
-            )
+            c = num[rng.integers(0, len(num), size=len(num))].sum()
             reps[b] = years / c if c > 0 else np.inf
         ci = _percentile_interval(reps, level)
-    return RiskResult(float(years / count), ci, count, vals.size)
+    return RiskResult(float(years / count), ci, count, n_in)
 
 
 def return_level(catalog: Catalog, region: Region, r_years: float,
@@ -172,7 +172,9 @@ def return_level(catalog: Catalog, region: Region, r_years: float,
     """
     if r_years <= 0:
         raise ValidationError(f"return period must be positive, got {r_years}")
-    vals = np.sort(_region_vorticities(catalog, region))
+    cols, inside = _region_points(catalog, region)
+    order = np.argsort(cols.vorticity[inside])
+    vals = cols.vorticity[inside][order]
     years = catalog.years_of_record
     target = years / r_years  # allowed number of exceedances in the record
     if target < 1.0:
@@ -192,19 +194,58 @@ def return_level(catalog: Catalog, region: Region, r_years: float,
     est = level_of(vals)
     ci = None
     if n_boot > 0:
+        # a resample's sorted values are the sorted in-region values, each
+        # repeated as often as its storm was drawn
+        owner = cols.storm[inside][order]
+        n = len(catalog.storms)
         rng = np.random.default_rng(seed)
-        storms = catalog.storms
         reps = np.empty(n_boot)
         for b in range(n_boot):
-            idx = rng.integers(0, len(storms), size=len(storms))
-            v = []
-            for i in idx:
-                inside = region.contains(storms[i].lons, storms[i].lats)
-                if np.any(inside):
-                    v.append(storms[i].vorticities[inside])
-            reps[b] = level_of(np.sort(np.concatenate(v))) if v else np.nan
+            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            resampled = np.repeat(vals, drawn[owner])
+            reps[b] = level_of(resampled) if resampled.size else np.nan
         ci = _percentile_interval(reps, level)
     return RiskResult(est, ci, int(np.sum(vals > est)), vals.size)
+
+
+def cell_return_periods(catalog: Catalog, grid: GridSpec, omega: float):
+    """Return period of `omega` in each active cell of `grid`, without bootstrap.
+
+    Each cell is the open box of `Region` around its centre, so a point on a
+    cell edge belongs to no cell.  Points are sorted by longitude once; a
+    column of cells shares one longitude slice, sorted by latitude, and each
+    cell is then a latitude range of it.  Returns rows (cell, lon_center,
+    lat_center, years, note) in cell order, with the notes of
+    :func:`return_period` and NaN / "undefined-region" for an empty cell.
+    """
+    cols = catalog.columns
+    by_lon = np.argsort(cols.lon)
+    lons = cols.lon[by_lon]
+    years = catalog.years_of_record
+    rows = []
+    by_column: dict = {}
+    for cell in sorted(grid.active_cells):
+        by_column.setdefault(cell[0], []).append(cell)
+    for cells in by_column.values():
+        lon_c, _ = grid.cell_center(cells[0])
+        a = np.searchsorted(lons, lon_c - grid.dlon / 2, side="right")
+        z = np.searchsorted(lons, lon_c + grid.dlon / 2, side="left")
+        pts = by_lon[a:z]
+        by_lat = np.argsort(cols.lat[pts])
+        lats = cols.lat[pts][by_lat]
+        exceed = np.concatenate([[0], np.cumsum(cols.vorticity[pts][by_lat] > omega)])
+        for cell in cells:
+            lon_c, lat_c = grid.cell_center(cell)
+            lo = np.searchsorted(lats, lat_c - grid.dlat / 2, side="right")
+            hi = np.searchsorted(lats, lat_c + grid.dlat / 2, side="left")
+            count = int(exceed[hi] - exceed[lo])
+            if hi == lo:
+                rows.append((cell, lon_c, lat_c, math.nan, "undefined-region"))
+            elif count == 0:
+                rows.append((cell, lon_c, lat_c, math.inf, "infinite-period"))
+            else:
+                rows.append((cell, lon_c, lat_c, float(years / count), ""))
+    return rows
 
 
 def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all",

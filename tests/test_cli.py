@@ -187,3 +187,29 @@ def test_bad_config_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["fit", "--config", str(bad)]) == 2
+
+
+def _bundle_variants(text):
+    doc = json.loads(text)
+    no_grid = {k: v for k, v in doc.items() if k != "grid"}
+    return {
+        "truncated": (text[: len(text) // 2], "not valid JSON"),
+        "not-json": ("this is not a bundle\n", "not valid JSON"),
+        "missing-grid": (json.dumps(no_grid), "'grid'"),
+        "invalid-grid": (json.dumps({**doc, "grid": {**doc["grid"], "dlon": None}}), "'grid'"),
+        "wrong-version": (json.dumps({**doc, "schema_version": 99}), "schema version 99"),
+    }
+
+
+@pytest.mark.parametrize("variant", ["truncated", "not-json", "missing-grid",
+                                     "invalid-grid", "wrong-version"])
+def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
+    root, cfg_path = workdir
+    text, named = _bundle_variants((root / "bundle.json").read_text())[variant]
+    bad = tmp_path / "bad_bundle.json"
+    bad.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                 "--bundle", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (simulate):") and named in err
+    assert "Traceback" not in err

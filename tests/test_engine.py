@@ -14,9 +14,9 @@ from stormsim.engine import (
     bundle_to_json,
     fit_all,
     fit_report,
-    laplace_tracks,
     propagate_step,
     replay_storm,
+    residual_tracks,
     simulate_catalog,
     simulate_genesis,
     simulate_storm,
@@ -256,7 +256,7 @@ def test_replay_reproduces_storm(fitted_bundle):
 
 def test_tail_branch_activation_rate(fitted_bundle):
     cat, _ = simulate_catalog(fitted_bundle, n=150, seed=7)
-    w_tracks, _ = laplace_tracks(fitted_bundle, cat)
+    w_tracks = residual_tracks(fitted_bundle.preproc, cat)
     w_all = np.concatenate([w[np.isfinite(w)] for w in w_tracks])
     sim_rate = float(np.mean(w_all > fitted_bundle.marginal.gpd.threshold))
     train_rate = fitted_bundle.marginal.gpd.exceed_rate
@@ -270,6 +270,26 @@ def test_simulated_w_respects_endpoint(fitted_bundle):
     if gpd.shape >= 0:
         pytest.skip("toy fit has a non-negative shape; no finite endpoint")
     cat, _ = simulate_catalog(fitted_bundle, n=100, seed=8)
-    w_tracks, _ = laplace_tracks(fitted_bundle, cat)
+    w_tracks = residual_tracks(fitted_bundle.preproc, cat)
     w_max = max(np.nanmax(w) for w in w_tracks)
     assert w_max <= gpd.upper_endpoint + 1e-9
+
+
+def test_tail_chain_without_laplace_excess_uses_body(toy_catalog):
+    # u_laplace one unit above the Laplace image of the GPD threshold: a run
+    # of W excesses need not hold a Laplace excess, so the step falls back
+    # to the body sampler instead of failing
+    bundle = fit_all(toy_catalog, fast_config(u_laplace=2.4365))
+    cat, stats = simulate_catalog(bundle, 200, seed=0)
+    assert len(cat) == 200
+    tags = [t for s in cat.storms for t in s.sampler_tags]
+    assert tags.count("tail") > 0 and tags.count("body") > 0
+
+
+def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
+    import json
+
+    doc = json.loads(bundle_to_json(fitted_bundle))
+    del doc["marginal"]["gpd"]["shape"]
+    with pytest.raises(ValidationError, match="'marginal' is missing 'shape'"):
+        bundle_from_json(json.dumps(doc))

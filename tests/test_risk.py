@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormsim.catalog import Catalog, GridSpec, StormTrack, TrackPoint, build_grid
 from stormsim.errors import UndefinedRegionError, ValidationError
 from stormsim.risk import (
     Region,
+    _percentile_interval,
     bootstrap_ci,
+    cell_return_periods,
     exceedance_prob,
     max_exceedance_prob,
     qq_envelope,
@@ -307,3 +311,257 @@ def test_qq_band_width_tracks_monte_carlo_error():
     w_small = width(qq_envelope(rng.normal(size=200), sim, n_boot=200, seed=1))
     w_big = width(qq_envelope(rng.normal(size=6400), sim, n_boot=200, seed=1))
     assert w_big < w_small / 3.0  # expect ~1/sqrt(32) ~ 0.18 ratio
+
+
+# ------------------------------------------- intervals with infinite replicates
+
+def test_percentile_interval_finite_replicates_match_numpy():
+    reps = np.random.default_rng(14).gamma(2.0, 1.0, 200)
+    assert _percentile_interval(reps, 0.95) == (
+        float(np.percentile(reps, 2.5)), float(np.percentile(reps, 97.5)))
+
+
+def test_percentile_interval_infinite_tail_is_inf():
+    reps = np.concatenate([np.linspace(1.0, 2.0, 190), np.full(10, np.inf)])
+    lo, hi = _percentile_interval(reps, 0.95)
+    assert lo == float(np.percentile(reps, 2.5)) and hi == math.inf
+    assert _percentile_interval(np.full(5, np.inf), 0.95) == (math.inf, math.inf)
+    # the median of three sits on the middle value with zero weight on the
+    # infinite neighbour, where numpy's interpolation gives NaN
+    assert _percentile_interval(np.array([1.0, 2.0, np.inf]), 0.0) == (2.0, 2.0)
+
+
+def test_percentile_interval_nan_replicate_propagates():
+    reps = np.concatenate([np.linspace(1.0, 2.0, 199), [np.nan]])
+    lo, hi = _percentile_interval(reps, 0.95)
+    assert math.isnan(lo) and math.isnan(hi)
+
+
+def test_return_period_upper_bound_unbounded_is_inf():
+    from stormsim.toydata import make_catalog
+
+    res = return_period(make_catalog(1000, seed=7), Region(), 6.0, n_boot=200, seed=0)
+    assert res.ci[0] == pytest.approx(2.083, abs=1e-3)
+    assert res.ci[1] == math.inf
+
+
+# ------------------- per-storm reference for the sufficient-statistic estimators
+#
+# The estimators work on flat point columns and per-storm counts.  These
+# references walk storms and points one at a time, as the estimators are
+# defined, with the same random draws, so estimates and intervals must agree
+# exactly.  Interval bounds go through the module's percentile rule, which is
+# tested on its own above.
+
+def ref_in_region(region, p):
+    return region.lon_min < p.lon < region.lon_max and region.lat_min < p.lat < region.lat_max
+
+
+def ref_storm_counts(catalog, region, omega):
+    counts = []
+    for storm in catalog.storms:
+        inside = [p for p in storm.points if ref_in_region(region, p)]
+        counts.append((sum(1 for p in inside if p.vorticity > omega), len(inside)))
+    return counts
+
+
+def ref_ratio(counts, n_boot, seed):
+    num = sum(c[0] for c in counts)
+    den = sum(c[1] for c in counts)
+    if den == 0:
+        raise UndefinedRegionError("empty")
+    ci = None
+    if n_boot > 0:
+        rng = np.random.default_rng(seed)
+        reps = []
+        for _ in range(n_boot):
+            idx = rng.integers(0, len(counts), size=len(counts))
+            d = sum(counts[i][1] for i in idx)
+            reps.append(sum(counts[i][0] for i in idx) / d if d > 0 else math.nan)
+        ci = _percentile_interval(np.array(reps), 0.95)
+    return num / den, ci, num, den
+
+
+def ref_exceedance_prob(catalog, region, omega, n_boot, seed):
+    return ref_ratio(ref_storm_counts(catalog, region, omega), n_boot, seed)
+
+
+def ref_max_exceedance_prob(catalog, region, omega, n_boot, seed):
+    counts = [(int(n > 0), int(d > 0)) for n, d in ref_storm_counts(catalog, region, omega)]
+    return ref_ratio(counts, n_boot, seed)
+
+
+def ref_return_period(catalog, region, omega, n_boot, seed):
+    counts = ref_storm_counts(catalog, region, omega)
+    n_in = sum(c[1] for c in counts)
+    if n_in == 0:
+        raise UndefinedRegionError("empty")
+    count = sum(c[0] for c in counts)
+    years = catalog.years_of_record
+    if count == 0:
+        return math.inf, None, 0, n_in
+    ci = None
+    if n_boot > 0:
+        rng = np.random.default_rng(seed)
+        reps = []
+        for _ in range(n_boot):
+            idx = rng.integers(0, len(counts), size=len(counts))
+            c = sum(counts[i][0] for i in idx)
+            reps.append(years / c if c > 0 else math.inf)
+        ci = _percentile_interval(np.array(reps), 0.95)
+    return years / count, ci, count, n_in
+
+
+def ref_return_level(catalog, region, r_years, n_boot, seed):
+    per_storm = [[p.vorticity for p in s.points if ref_in_region(region, p)]
+                 for s in catalog.storms]
+    vals = np.sort([v for vs in per_storm for v in vs])
+    if vals.size == 0:
+        raise UndefinedRegionError("empty")
+    target = catalog.years_of_record / r_years
+    if target < 1.0:
+        return math.nan, None, 0, vals.size
+
+    def level_of(sorted_vals):
+        n = sorted_vals.size
+        for i in range(min(int(math.floor(target)) + 1, n), 0, -1):
+            candidate = sorted_vals[n - i]
+            if n - np.searchsorted(sorted_vals, candidate, side="right") <= target:
+                return float(candidate)
+        return float(sorted_vals[-1])
+
+    est = level_of(vals)
+    ci = None
+    if n_boot > 0:
+        rng = np.random.default_rng(seed)
+        reps = []
+        for _ in range(n_boot):
+            idx = rng.integers(0, len(per_storm), size=len(per_storm))
+            v = [x for i in idx for x in per_storm[i]]
+            reps.append(level_of(np.sort(v)) if v else math.nan)
+        ci = _percentile_interval(np.array(reps), 0.95)
+    return est, ci, int(np.sum(vals > est)), vals.size
+
+
+def same(a, b):
+    """Exact equality that lets NaN equal NaN."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
+
+
+# Coordinates and vorticities from small sets, so points land on region and
+# cell edges and vorticities tie with each other and with the thresholds.
+EDGE_LONS = [-12.0, -11.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0]
+EDGE_LATS = [48.0, 50.0, 51.0, 54.0, 55.5, 57.0, 60.0]
+VORTS = [1.0, 2.0, 2.5, 3.0, 4.0, 7.5]
+coord_lon = st.one_of(st.sampled_from(EDGE_LONS), st.floats(-14.0, 4.0))
+coord_lat = st.one_of(st.sampled_from(EDGE_LATS), st.floats(46.0, 62.0))
+vort = st.one_of(st.sampled_from(VORTS), st.floats(0.5, 9.0))
+
+
+@st.composite
+def catalogs(draw, lon=coord_lon, lat=coord_lat):
+    storms = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(8, 11))
+        storms.append(storm_from_arrays(
+            f"s{i}", draw(st.lists(lon, min_size=n, max_size=n)),
+            draw(st.lists(lat, min_size=n, max_size=n)),
+            draw(st.lists(vort, min_size=n, max_size=n))))
+    years = draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
+    return Catalog(storms=tuple(storms), years_of_record=years)
+
+
+@st.composite
+def regions(draw):
+    lons = sorted(draw(st.lists(st.sampled_from(EDGE_LONS), min_size=2, max_size=2, unique=True)))
+    lats = sorted(draw(st.lists(st.sampled_from(EDGE_LATS), min_size=2, max_size=2, unique=True)))
+    return Region(lons[0], lons[1], lats[0], lats[1])
+
+
+def as_tuple(res):
+    return res.estimate, res.ci, res.n_num, res.n_den
+
+
+def check_against_reference(estimator, reference, cat, region, x, n_boot, seed):
+    try:
+        want = reference(cat, region, x, n_boot, seed)
+    except UndefinedRegionError:
+        with pytest.raises(UndefinedRegionError):
+            estimator(cat, region, x, n_boot=n_boot, seed=seed)
+        return
+    assert same(as_tuple(estimator(cat, region, x, n_boot=n_boot, seed=seed)), want)
+
+
+n_boots = st.sampled_from([0, 1, 7, 40])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalogs(), regions(), st.sampled_from(VORTS + [0.0, 9.5]), n_boots, seeds)
+def test_exceedance_probs_match_per_storm_reference(cat, region, omega, n_boot, seed):
+    check_against_reference(exceedance_prob, ref_exceedance_prob, cat, region, omega, n_boot, seed)
+    check_against_reference(max_exceedance_prob, ref_max_exceedance_prob,
+                            cat, region, omega, n_boot, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalogs(), regions(), st.sampled_from(VORTS + [0.0, 9.5]), n_boots, seeds)
+def test_return_period_matches_per_storm_reference(cat, region, omega, n_boot, seed):
+    check_against_reference(return_period, ref_return_period, cat, region, omega, n_boot, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalogs(), regions(), st.sampled_from([0.8, 1.0, 1.5, 2.0, 3.0, 6.0, 40.0]), n_boots, seeds)
+def test_return_level_matches_per_storm_reference(cat, region, exceedances, n_boot, seed):
+    # r_years allowing about `exceedances` values above the level in the record
+    r_years = cat.years_of_record / exceedances
+    check_against_reference(return_level, ref_return_level, cat, region, r_years, n_boot, seed)
+
+
+@st.composite
+def gridded_catalogs(draw):
+    """A grid spacing and a catalog with many points on its cells' box edges."""
+    dlon = draw(st.sampled_from([4.0, 3.0, 2.5, 0.7]))
+    dlat = draw(st.sampled_from([3.0, 2.0, 0.7]))
+    # cell box edges as the map computes them, from the cell centres
+    lon_edges = [-180.0 + (i + 0.5) * dlon + s * dlon / 2
+                 for i in range(int(170 // dlon) - 3, int(190 // dlon)) for s in (-1, 1)]
+    lat_edges = [-90.0 + (j + 0.5) * dlat + s * dlat / 2
+                 for j in range(int(136 // dlat), int(152 // dlat)) for s in (-1, 1)]
+    lon = st.one_of(st.sampled_from(lon_edges), st.floats(-14.0, 10.0))
+    lat = st.one_of(st.sampled_from(lat_edges), st.floats(46.0, 62.0))
+    return draw(catalogs(lon=lon, lat=lat)), dlon, dlat
+
+
+@settings(max_examples=60, deadline=None)
+@given(gridded_catalogs(), st.sampled_from(VORTS + [0.0, 9.5]))
+def test_cell_map_matches_return_period_per_cell(gridded, omega):
+    cat, dlon, dlat = gridded
+    grid = build_grid(cat, dlon=dlon, dlat=dlat)
+    rows = cell_return_periods(cat, grid, omega)
+    assert [r[0] for r in rows] == sorted(grid.active_cells)
+    for cell, lon_c, lat_c, years, note in rows:
+        assert (lon_c, lat_c) == grid.cell_center(cell)
+        region = Region(lon_c - dlon / 2, lon_c + dlon / 2, lat_c - dlat / 2, lat_c + dlat / 2)
+        try:
+            per = return_period(cat, region, omega, n_boot=0)
+            want = (per.estimate, per.note)
+        except UndefinedRegionError:
+            want = (math.nan, "undefined-region")
+        assert same((years, note), want)
+
+
+def test_cell_map_edge_point_belongs_to_no_cell():
+    # one point on a vertical edge between cells, the rest inside one cell
+    lons = [-8.0] + [-9.5] * 7
+    cat = Catalog(storms=(storm_from_arrays("a", lons, [55.0] * 8, [5.0] * 8),),
+                  years_of_record=1.0)
+    grid = build_grid(cat, dlon=4.0, dlat=3.0)
+    rows = {r[0]: r[3:] for r in cell_return_periods(cat, grid, 4.0)}
+    # -8.0 lies on the west edge of cell 43, which then holds no point
+    assert same(rows[(43, 48)], (math.nan, "undefined-region"))
+    assert rows[(42, 48)] == (1.0 / 7, "")
