@@ -129,7 +129,8 @@ class StormTrack:
 
     `speeds[i]` and `bearings[i]` describe the step from `points[i]` to
     `points[i+1]`, so both have length ``len(points) - 1``.  A zero-length
-    step keeps the previous bearing (0.0 if it is the first step).
+    step keeps the previous bearing (0.0 if it is the first step).  When not
+    given, they are derived from the points on first access.
     """
 
     id: str
@@ -146,10 +147,6 @@ class StormTrack:
         t = [p.time_index for p in self.points]
         if any(b - a != 1 for a, b in zip(t, t[1:])):
             raise ValidationError(f"storm {self.id!r}: time_index not contiguous")
-        if self.speeds is None:
-            speeds, bearings = _derive_kinematics(self.points)
-            object.__setattr__(self, "speeds", speeds)
-            object.__setattr__(self, "bearings", bearings)
 
     def __len__(self):
         return len(self.points)
@@ -165,6 +162,31 @@ class StormTrack:
     @property
     def lats(self) -> np.ndarray:
         return np.array([p.lat for p in self.points])
+
+
+class _Kinematics:
+    """A per-step array of a track, stored as given or derived on first access."""
+
+    def __init__(self, slot: str):
+        self.slot = slot
+
+    def __get__(self, track, owner=None):
+        if track is None:
+            return None
+        state = track.__dict__
+        if state.get(self.slot) is None:
+            for slot, derived in zip(("_speeds", "_bearings"), _derive_kinematics(track.points)):
+                if state.get(slot) is None:
+                    state[slot] = derived
+        return state[self.slot]
+
+    def __set__(self, track, value):
+        track.__dict__[self.slot] = value
+
+
+# loading a catalog for risk analytics never reads speeds or bearings
+StormTrack.speeds = _Kinematics("_speeds")
+StormTrack.bearings = _Kinematics("_bearings")
 
 
 def _derive_kinematics(points):

@@ -496,7 +496,8 @@ def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesi
     return None
 
 
-def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng):
+def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
+                   laplace: dict | None = None):
     """Draw omega at `pos` given the recent vorticity history.
 
     Uses the cell's conditional kernel when the recent preprocessed values sit
@@ -508,6 +509,10 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
     smallest observed training vorticity (unobservable under the tracking
     threshold that defines the input data) are reflected back across it,
     the mirror boundary correction for Gaussian kernels.
+
+    `laplace` maps positions in `w_hist` to their Laplace values; the step
+    adds the ones it maps, so a caller that keeps one dict per storm maps
+    each W value once (the transform is elementwise, so this is exact).
 
     Returns (omega, w, tag) where w is NaN outside the window.
     """
@@ -523,9 +528,14 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
     floor = bundle.min_vorticity
     l = condex_mod.effective_order(recent_w, bundle.marginal.gpd.threshold, k)
     if inside and l >= 1:
-        s_window = np.full(recent_w.size, np.nan)
-        finite = np.isfinite(recent_w)
-        s_window[finite] = evt.to_laplace(recent_w[finite], bundle.marginal)
+        laplace = {} if laplace is None else laplace
+        start = len(w_hist) - recent_w.size
+        todo = [i for i in range(recent_w.size)
+                if start + i not in laplace and math.isfinite(recent_w[i])]
+        if todo:
+            mapped = evt.to_laplace(recent_w[todo], bundle.marginal).tolist()
+            laplace.update(zip((start + i for i in todo), mapped))
+        s_window = np.array([laplace.get(start + i, math.nan) for i in range(recent_w.size)])
         # with u_laplace above the Laplace image of the GPD threshold, a W
         # excess need not be a Laplace excess; the body sampler then draws
         laplace_excess = condex_mod.effective_order(s_window, bundle.condex.u_laplace, k) >= 1
@@ -574,6 +584,7 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
     thetas, speeds = [theta0], [v0]
     omegas = [omega0]
     ws = [math.nan]
+    laplace: dict[int, float] = {}  # Laplace values of the entries of ws, once mapped
     tags = ["genesis"]
     entered = hazard_region is None or _point_in_polygon((x0, y0), hazard_region)
     cause = None
@@ -616,7 +627,7 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
             break
 
         omega, w_val, tag = vorticity_step(
-            bundle, nxt, omegas, ws, thetas[j], speeds[j], rng
+            bundle, nxt, omegas, ws, thetas[j], speeds[j], rng, laplace
         )
         lons.append(nxt[0])
         lats.append(nxt[1])

@@ -8,17 +8,21 @@ penalized IRLS; smoothing parameters minimize GCV over a log-spaced grid,
 scanned coordinate-wise.
 
 The hazard is zero before age 8 (storms must live 24 h) and logistic in the
-sum of smooth effects afterwards.
+sum of smooth effects afterwards.  Simulation evaluates it one point at a
+time, from per-smooth piecewise-cubic tables built lazily from the fitted
+coefficients (bisection for the knot interval, then Horner, with the same
+linear tails); :meth:`GamFit.smooth_effect` remains the reference.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, PPoly
 from scipy.special import expit
 
 from .errors import FitError, SeparationError, ValidationError
@@ -188,6 +192,32 @@ def build_design(storms, covariates=DEFAULT_COVARIATES, terminal=None, n_interio
 
 
 @dataclass(frozen=True)
+class _EffectTable:
+    """One smooth effect as a cubic polynomial per knot interval in [a, b],
+    in powers of the distance from the interval's left end, and linear
+    beyond both ends."""
+
+    breaks: list  # left ends of the knot intervals
+    coefs: list  # per interval (c3, c2, c1, c0)
+    a: float
+    b: float
+    value_a: float
+    slope_a: float
+    value_b: float
+    slope_b: float
+
+    def __call__(self, x: float) -> float:
+        if x < self.a:
+            return self.value_a + (x - self.a) * self.slope_a
+        if x > self.b:
+            return self.value_b + (x - self.b) * self.slope_b
+        i = bisect_right(self.breaks, x) - 1
+        c3, c2, c1, c0 = self.coefs[i]
+        dx = x - self.breaks[i]
+        return ((c3 * dx + c2) * dx + c1) * dx + c0
+
+
+@dataclass(frozen=True)
 class GamFit:
     """Fitted logistic additive hazard."""
 
@@ -206,6 +236,7 @@ class GamFit:
     min_age: int = MIN_AGE
 
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: list = field(default_factory=list, repr=False, compare=False)
 
     def _effect_spline(self, i: int) -> BSpline:
         # s_i(x) = B(x) @ (Z @ coef): one spline with combined coefficients
@@ -233,6 +264,34 @@ class GamFit:
             if hi.any():
                 out[hi] = e["Bb"] @ c + (x[hi] - b) * (e["Db"] @ c)
         return out
+
+    def _effect_table(self, i: int) -> _EffectTable:
+        basis = self.bases[i]
+        a, b = basis.bounds
+        pp = PPoly.from_spline(self._effect_spline(i))
+        keep = [j for j in range(pp.x.size - 1) if a <= pp.x[j] < pp.x[j + 1] <= b]
+        e = basis._edge_rows()
+        c = self.constraints[i] @ self.coef[self.slices[i]]
+        return _EffectTable(
+            breaks=[float(pp.x[j]) for j in keep],
+            coefs=[tuple(float(v) for v in pp.c[:, j]) for j in keep],
+            a=a, b=b,
+            value_a=float(e["Ba"] @ c), slope_a=float(e["Da"] @ c),
+            value_b=float(e["Bb"] @ c), slope_b=float(e["Db"] @ c),
+        )
+
+    def _effect_tables(self) -> list[_EffectTable]:
+        """Piecewise-cubic tables of the smooth effects, built on first use."""
+        if not self._tables:
+            self._tables.extend(self._effect_table(i) for i in range(len(self.covariates)))
+        return self._tables
+
+    def predictor_at(self, covariate_values: dict) -> float:
+        """eta at one covariate point, from lazily built piecewise-cubic tables of the effects."""
+        eta = float(self.coef[0])
+        for name, table in zip(self.covariates, self._effect_tables()):
+            eta = eta + table(float(covariate_values[name]))
+        return eta
 
     def linear_predictor(self, covariate_values: dict) -> np.ndarray:
         """Vectorized eta = intercept + sum of smooth effects."""
@@ -379,5 +438,4 @@ def hazard(fit: GamFit, covariates: dict, age: float) -> float:
     values = dict(covariates)
     if "age" in fit.covariates:
         values["age"] = float(age)
-    eta = fit.linear_predictor(values)
-    return float(expit(eta[0]))
+    return float(expit(fit.predictor_at(values)))

@@ -18,6 +18,20 @@ normalized.  Kernel sums that involve no circular dimension use the original
 
 All tuple weights are computed in log space with max-subtraction; conditioning
 far into the tails is routine during simulation and must not underflow.
+
+Conditional draws never build the replicated set.  Each model caches, per
+(given, target) pattern, the conditioning columns of its n original tuples
+pre-whitened by L / sqrt(2), with L the Cholesky factor of H_{c,c}^{-1}, so
+that minus a log kernel is a plain squared distance plus a constant.  The
+replica at shift +s is evaluated as the shifted query ``(v - s) L / sqrt(2)``
+against that same block (and -s as ``(v + s) L / sqrt(2)``).  The replicas
+keep their place in the tuple order [original, +s, -s], so the cumulative
+weights, the selected tuple and the random numbers drawn are those of the
+replicated set.  A replica is skipped outright when the squared distance
+from its whitened query to the bounding box of the whitened block proves
+that every one of its log weights lies more than 800 below the best original
+one: ``exp`` of such a relative log weight is exactly 0.0, so the skipped
+tuples add exactly nothing to the cumulative weights either way.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ class KdeModel:
 
     _unrolled: np.ndarray | None = field(default=None, repr=False, compare=False)
     _partitions: dict = field(default_factory=dict, repr=False, compare=False)
+    _samplers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -101,6 +116,29 @@ class _Partition:
     sigma: np.ndarray  # (t, t) conditional covariance
     chol_sigma: np.ndarray
     logdet_sigma: float
+
+
+# A replica copy is skipped when every one of its log weights lies more than
+# this far (plus a relative rounding slack) below the best original one;
+# exp() of anything below about -745.13 is exactly 0.0.
+_SKIP_LOG = 800.0
+_SKIP_REL = 1e-6
+
+
+@dataclass(frozen=True)
+class _Sampler:
+    """Cached conditional-draw data for one (given, target) pattern of a model."""
+
+    given: tuple[int, ...]
+    target: tuple[int, ...]
+    part: _Partition
+    shift: np.ndarray | None  # (d,) replica shift; None when nothing is replicated
+    whiten: np.ndarray | None  # (c, c) L / sqrt(2), where L @ L.T = H_{c,c}^{-1}
+    white: np.ndarray | None  # (c, n): whitened conditioning columns, one row each
+    log_norm: float  # -log kernel at zero distance
+    lo: list  # whitened bounding box of the block, per conditioning column
+    hi: list
+    white_shift: list  # the replica shift on the given dims, whitened
 
 
 def fit_kde(
@@ -334,6 +372,90 @@ def _wrap_circular(arr: np.ndarray, circular_dims, dims) -> None:
             arr[..., pos] = (arr[..., pos] + math.pi) % TWO_PI - math.pi
 
 
+def _sampler(model: KdeModel, key) -> _Sampler:
+    """The cached sampler for `key` = (sorted given dims, target dims or None)."""
+    given_dims, target_dims = key
+    dims = _as_dims(model, given_dims)
+    target = _target_dims(model, dims, target_dims)
+    if not target:
+        raise ValidationError("no target dimensions to sample")
+    part = _partition(model, dims, target)
+    shift = None
+    if set(model.circular_dims) & set(dims + target):
+        shift = np.zeros(model.d)
+        shift[list(model.circular_dims)] = TWO_PI
+    whiten = white = None
+    lo = hi = white_shift = []
+    if dims:
+        # half the squared Mahalanobis distance is a squared distance after whitening
+        whiten = np.linalg.cholesky(part.inv_cc) * math.sqrt(0.5)
+        white = np.ascontiguousarray((model.samples[:, dims] @ whiten).T)
+        lo, hi = white.min(axis=1).tolist(), white.max(axis=1).tolist()
+        if shift is not None:
+            white_shift = (shift[list(dims)] @ whiten).tolist()
+    sampler = _Sampler(
+        given=dims, target=target, part=part, shift=shift, whiten=whiten, white=white,
+        log_norm=0.5 * (part.logdet_cc + len(dims) * _LOG_2PI),
+        lo=lo, hi=hi, white_shift=white_shift,
+    )
+    model._samplers[key] = sampler
+    return sampler
+
+
+def _box_sqdist(z, lo, hi) -> float:
+    """Squared distance from point z to the box [lo, hi] (all Python floats)."""
+    out = 0.0
+    for zj, a, b in zip(z, lo, hi):
+        gap = a - zj if zj < a else (zj - b if zj > b else 0.0)
+        out += gap * gap
+    return out
+
+
+def _half_sqdist(s: _Sampler, z: np.ndarray) -> np.ndarray:
+    """Minus the log kernel (up to `log_norm`) of every tuple at whitened query z."""
+    diff = s.white - z[:, None]
+    diff *= diff
+    return diff.sum(axis=0)
+
+
+def _pick_tuples(model: KdeModel, s: _Sampler, values: np.ndarray, rng, m: int):
+    """Tuple rows and replica blocks (0 original, 1 at +shift, 2 at -shift)
+    selected with probability proportional to their kernel weights; the
+    blocks are None when every pick is an original tuple."""
+    n = model.n
+    z = values @ s.whiten
+    dist = [_half_sqdist(s, z)]
+    best = float(dist[0].min())
+    blocks = [0]
+    if s.shift is not None:
+        if not any(s.white_shift):
+            # no circular conditioning dim: the replicas weigh like the originals
+            dist += [dist[0], dist[0]]
+            blocks += [1, 2]
+        else:
+            zl = z.tolist()
+            best_original = best
+            for block, sign in ((1, -1.0), (2, 1.0)):
+                zr = [a + sign * b for a, b in zip(zl, s.white_shift)]
+                bound = _box_sqdist(zr, s.lo, s.hi)
+                if bound - best_original > _SKIP_LOG + _SKIP_REL * (bound + best_original):
+                    continue
+                dist.append(_half_sqdist(s, np.array(zr)))
+                blocks.append(block)
+                best = min(best, float(dist[-1].min()))
+    if -best - s.log_norm < _LOG_TINY:
+        raise UnsupportedConditioningError(
+            f"conditioning values {values.tolist()} outside kernel support"
+        )
+    cum = np.exp(best - (dist[0] if len(dist) == 1 else np.concatenate(dist))).cumsum()
+    pos = cum.searchsorted(rng.random(m) * cum[-1], side="right")
+    pos = np.minimum(pos, cum.size - 1)  # NaN conditioning values sort past the end
+    if len(blocks) == 1:
+        return pos, None
+    block, row = np.divmod(pos, n)
+    return row, np.asarray(blocks)[block]
+
+
 def sample_conditional(
     model: KdeModel,
     given: dict,
@@ -348,31 +470,40 @@ def sample_conditional(
     conditional.  Dimensions in neither set are marginalized out.  An empty
     `given` reduces to a marginal draw over `target_dims`.
 
-    Circular target dims are wrapped back to [-pi, pi).
+    Circular target dims are wrapped back to [-pi, pi).  The data each
+    (given, target) pattern needs are built on first use and cached on the
+    model (see the module docstring).
 
     Raises:
         UnsupportedConditioningError: all tuple weights underflow.
     """
-    dims, values = _split_given(model, given)
-    target = _target_dims(model, dims, target_dims)
-    if not target:
-        raise ValidationError("no target dimensions to sample")
-    ev = model._eval_samples(dims + target)
-    logw = _log_weights(model, dims, values, ev, target=target)
-    part = _partition(model, dims, target)
-
+    key = (tuple(sorted(given)), None if target_dims is None else tuple(target_dims))
+    s = model._samplers.get(key)
+    if s is None:
+        s = _sampler(model, key)
     m = 1 if size is None else int(size)
-    if dims:
-        w = np.exp(logw - logw.max())
-        cum = np.cumsum(w)
-        idx = np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
-        idx = np.minimum(idx, len(cum) - 1)
-        mu = ev[idx][:, target] + (values[None, :] - ev[idx][:, dims]) @ part.reg.T
+    if s.given:
+        values = np.array([float(given[i]) for i in s.given])
+        row, block = _pick_tuples(model, s, values, rng, m)
     else:
-        idx = rng.integers(0, ev.shape[0], size=m)
-        mu = ev[idx][:, target]
-    draws = mu + rng.standard_normal((m, len(target))) @ part.chol_sigma.T
-    _wrap_circular(draws, model.circular_dims, target)
+        if s.shift is None:
+            row, block = rng.integers(0, model.n, size=m), None
+        else:
+            block, row = np.divmod(rng.integers(0, 3 * model.n, size=m), model.n)
+    rows = model.samples[row]
+    if block is not None:
+        # replica rows, with the replicated set's arithmetic
+        for b, sign in ((1, 1.0), (2, -1.0)):
+            sel = block == b
+            if sel.any():
+                rows[sel] = rows[sel] + sign * s.shift
+    # fancy indexing, as in the replicated set's arithmetic: the layout of the
+    # matrix product's operand picks the BLAS kernel, and so the rounding
+    mu = rows[:, s.target]
+    if s.given:
+        mu = mu + (values[None, :] - rows[:, s.given]) @ s.part.reg.T
+    draws = mu + rng.standard_normal((m, len(s.target))) @ s.part.chol_sigma.T
+    _wrap_circular(draws, model.circular_dims, s.target)
     return draws[0] if size is None else draws
 
 

@@ -204,8 +204,26 @@ def _mu_sigma(fit: PreprocFit, lon, lat, bearing, speed):
     return mu, sd
 
 
+def _mu_sigma_point(fit: PreprocFit, lon: float, lat: float, bearing: float, speed: float):
+    """:func:`_mu_sigma` at one point, bit for bit, without building a design."""
+    row = [1.0, lon, lat, np.sin(bearing), np.cos(bearing), speed]
+    if fit.quadratic:
+        row += [lon * lon, lat * lat]
+    x = (np.array(row) - fit.col_mean) / fit.col_scale
+    return x @ fit.mu_coef, np.exp(min(max(x @ fit.sigma_coef, -50.0), 50.0))
+
+
+def _is_point(value, nu) -> bool:
+    return isinstance(value, float) and all(isinstance(v, float) for v in nu)
+
+
 def to_residual(omega, nu, fit: PreprocFit):
     """Forward transform: vorticity and covariates (lon, lat, bearing, speed) to W."""
+    if _is_point(omega, nu):
+        if omega <= 0.0:
+            raise ValidationError("vorticity must be positive inside the Box-Cox domain")
+        mu, sd = _mu_sigma_point(fit, *nu)
+        return float((boxcox(omega, fit.lam) - mu) / sd)
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr <= 0.0):
         raise ValidationError("vorticity must be positive inside the Box-Cox domain")
@@ -222,9 +240,10 @@ def from_residual(w, nu, fit: PreprocFit):
         InvalidInverseError: the implied Box-Cox value lies outside the
             domain (1 + lambda*y <= 0, or a non-finite result).
     """
+    point = _is_point(w, nu)
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     lon, lat, bearing, speed = nu
-    mu, sd = _mu_sigma(fit, lon, lat, bearing, speed)
+    mu, sd = _mu_sigma_point(fit, *nu) if point else _mu_sigma(fit, lon, lat, bearing, speed)
     y = mu + sd * w_arr
     if abs(fit.lam) < LAMBDA_ZERO:
         if np.any(y > 700.0):

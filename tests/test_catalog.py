@@ -17,6 +17,7 @@ from stormsim.catalog import (
     grid_cell,
     great_circle_distance,
     initial_bearing,
+    _derive_kinematics,
     load_catalog,
     normalize_lon,
     pacf,
@@ -257,6 +258,28 @@ def test_kinematics_consistency(toy_catalog):
             r = destination_point(p, storm.speeds[i], storm.bearings[i])
             err = great_circle_distance(q, r)
             assert err <= 1e-6 * max(1.0, storm.speeds[i] * STEP_SECONDS)
+
+
+def test_kinematics_derived_lazily_equal_eager(toy_catalog, tmp_path):
+    path = tmp_path / "toy.csv"
+    lines = ["storm_id,time_index,lon,lat,vorticity"]
+    for s in toy_catalog.storms[:15]:
+        lines += [f"{s.id},{p.time_index},{p.lon!r},{p.lat!r},{p.vorticity!r}" for p in s.points]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_catalog(path, years_of_record=1.0)
+    for storm in loaded.storms:
+        assert storm.__dict__["_speeds"] is None and storm.__dict__["_bearings"] is None
+        speeds, bearings = _derive_kinematics(storm.points)
+        assert np.array_equal(storm.bearings, bearings)
+        assert np.array_equal(storm.speeds, speeds)
+
+
+def test_given_kinematics_are_kept():
+    pts = tuple(TrackPoint(lon=-20.0 + i, lat=50.0, time_index=i, vorticity=3.0) for i in range(8))
+    speeds = np.arange(7.0)
+    storm = StormTrack(id="a", points=pts, speeds=speeds)
+    assert storm.speeds is speeds
+    assert np.array_equal(storm.bearings, _derive_kinematics(pts)[1])
 
 
 # ---------------------------------------------------------------- pacf

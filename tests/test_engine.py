@@ -293,3 +293,31 @@ def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
     del doc["marginal"]["gpd"]["shape"]
     with pytest.raises(ValidationError, match="'marginal' is missing 'shape'"):
         bundle_from_json(json.dumps(doc))
+
+
+def test_warm_caches_do_not_change_a_slot(fitted_bundle):
+    text = bundle_to_json(fitted_bundle)
+    want, _ = simulate_catalog(bundle_from_json(text), n=10, seed=9)
+    assert any("tail" in s.sampler_tags for s in want.storms)
+    warmed = bundle_from_json(text)
+    simulate_catalog(warmed, n=12, seed=3)  # other storms fill the kernel and hazard caches
+    got, _ = simulate_catalog(warmed, n=10, seed=9)
+    for a, b in zip(got.storms, want.storms):
+        assert a.points == b.points and a.sampler_tags == b.sampler_tags
+        assert np.array_equal(a.speeds, b.speeds) and np.array_equal(a.bearings, b.bearings)
+    assert bundle_to_json(warmed) == text
+
+
+def test_each_w_value_mapped_to_laplace_once(fitted_bundle, monkeypatch):
+    mapped = []
+    to_laplace = evt.to_laplace
+
+    def counting(z, m):
+        mapped.extend(np.atleast_1d(z).tolist())
+        return to_laplace(z, m)
+
+    monkeypatch.setattr(evt, "to_laplace", counting)
+    cat, _ = simulate_catalog(fitted_bundle, n=40, seed=7)
+    w_tracks = residual_tracks(fitted_bundle.preproc, cat)
+    assert 0 < len(mapped) <= sum(int(np.isfinite(w).sum()) for w in w_tracks)
+    assert len(set(mapped)) == len(mapped)

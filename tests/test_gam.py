@@ -201,3 +201,40 @@ def test_partition_of_unity_within_support():
     basis = make_basis("x", x)
     inside = np.linspace(x.min(), x.max(), 50)
     np.testing.assert_allclose(basis.design(inside).sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_tabulated_predictor_matches_linear_predictor(toy_catalog):
+    design = build_design(toy_catalog.storms, n_interior=6)
+    fit = fit_gam(design, gcv_grid=np.logspace(-2, 2, 5), sweeps=1)
+    rng = np.random.default_rng(8)
+    probes = {}
+    for name, basis in zip(fit.covariates, fit.bases):
+        a, b = basis.bounds
+        width = b - a
+        probes[name] = np.concatenate([
+            rng.uniform(a, b, 200),  # inside the knot range
+            np.unique(basis.knots),  # at the knots, both ends included
+            [np.nextafter(a, -np.inf), np.nextafter(b, np.inf)],
+            rng.uniform(a - 2.0 * width, a, 50),  # beyond both ends
+            rng.uniform(b, b + 2.0 * width, 50),
+        ])
+    for name, xs in probes.items():
+        for x in xs:
+            values = {other: float(rng.choice(probes[other])) for other in fit.covariates}
+            values[name] = float(x)
+            want = fit.linear_predictor(values)[0]
+            got = fit.predictor_at(values)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            if name == "age" and values["age"] >= fit.min_age:
+                assert hazard(fit, values, age=values["age"]) == pytest.approx(
+                    float(expit(want)), rel=1e-12, abs=1e-300)
+
+
+def test_tabulated_hazard_zero_before_min_age(toy_catalog):
+    design = build_design(toy_catalog.storms, n_interior=6)
+    fit = fit_gam(design, gcv_grid=np.logspace(-2, 2, 5), sweeps=1)
+    values = {"vorticity": 4.0, "drop": 0.2, "age": 3.0, "lon": -20.0, "lat": 55.0}
+    for age in (1, 5, 7, 7.999):
+        assert hazard(fit, values, age=age) == 0.0
+    assert 0.0 < hazard(fit, values, age=8) < 1.0
+    assert not fit.__dataclass_fields__["_tables"].compare

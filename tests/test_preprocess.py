@@ -169,3 +169,28 @@ def test_in_window_helper():
     assert bool(in_window(0.0, 50.0, DEFAULT_WINDOW))
     assert not bool(in_window(-70.0, 50.0, DEFAULT_WINDOW))
     assert not bool(in_window(0.0, 30.0, DEFAULT_WINDOW))
+
+
+@pytest.mark.parametrize("lam,quadratic", [(0.0039, False), (0.5, True), (1e-9, False), (2.0, True)])
+def test_scalar_path_matches_array_path_bit_for_bit(lam, quadratic):
+    rng = np.random.default_rng(21)
+    p = 8 if quadratic else 6
+    col_mean, col_scale = rng.normal(size=p), rng.uniform(0.5, 3.0, p)
+    col_mean[0], col_scale[0] = 0.0, 1.0
+    fit = PreprocFit(lam=lam, mu_coef=rng.normal(size=p), sigma_coef=0.1 * rng.normal(size=p),
+                     quadratic=quadratic, col_mean=col_mean, col_scale=col_scale,
+                     window=DEFAULT_WINDOW, loglik=0.0, n=0, w_mean=0.0, w_sd=1.0)
+    for _ in range(300):
+        nu = (float(rng.uniform(-60, 20)), float(rng.uniform(40, 80)),
+              float(rng.uniform(-4, 4)), float(rng.uniform(0, 30)))
+        arrays = tuple(np.array([v]) for v in nu)
+        omega = float(rng.uniform(0.05, 30.0))
+        assert to_residual(omega, nu, fit) == to_residual(np.array([omega]), arrays, fit)[0]
+        w = float(rng.normal())
+        try:
+            want = from_residual(np.array([w]), arrays, fit)[0]
+        except InvalidInverseError:
+            with pytest.raises(InvalidInverseError):
+                from_residual(w, nu, fit)
+            continue
+        assert from_residual(w, nu, fit) == want
