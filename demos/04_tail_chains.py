@@ -54,7 +54,7 @@ for _ in range(40):
     s = step_tail_chain(fit, window, rng)
     path.append(s)
     window = window[1:] + [s]
-    if s <= u and max(window[:-1]) <= u:
+    if s <= u:  # back in the body: the kernel sampler takes over
         break
 steps = " -> ".join(f"{v:.2f}" for v in path)
 print(steps)

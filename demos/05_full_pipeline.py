@@ -13,7 +13,7 @@ This script does it in-process on a procedural toy catalog (a few minutes).
 import numpy as np
 
 from stormsim.engine import FitConfig, fit_all, fit_report, simulate_catalog
-from stormsim.risk import Region, exceedance_prob, qq_envelope, return_level, return_period
+from stormsim.risk import Region, catalog_qq_envelope, exceedance_prob, return_level, return_period
 from stormsim.toydata import make_catalog
 
 catalog = make_catalog(n_storms=400, seed=11)
@@ -35,9 +35,8 @@ print(f"simulated {len(synth)} storms ({synth.years_of_record:.0f} synthetic yea
 
 print()
 print("marginal agreement (quantiles of observed vs simulated)")
-obs_v = np.concatenate([s.vorticities for s in catalog.storms])
-sim_v = np.concatenate([s.vorticities for s in synth.storms])
-rows = qq_envelope(obs_v, sim_v, probs=np.array([0.5, 0.9, 0.99, 0.999]), n_boot=200)
+rows = catalog_qq_envelope(catalog, synth, "vorticity",
+                           probs=np.array([0.5, 0.9, 0.99, 0.999]), n_boot=200)
 for p, obs_q, sim_q, lo, hi, inside in rows:
     print(f"  p={p:<6} observed {obs_q:6.3f} simulated {sim_q:6.3f} "
           f"band [{lo:6.3f}, {hi:6.3f}] {'ok' if inside else 'OUT'}")

@@ -23,7 +23,6 @@ from .catalog import (
 from .engine import (
     FitConfig,
     ModelBundle,
-    SimConfig,
     SyntheticTrack,
     fit_all,
     load_bundle,
@@ -31,17 +30,17 @@ from .engine import (
     simulate_catalog,
     simulate_storm,
 )
-from .risk import Region, RiskResult, bootstrap_ci, exceedance_prob, qq_envelope, return_level, return_period
+from .risk import Region, RiskResult, bootstrap_ci, exceedance_prob, return_level, return_period
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Catalog", "GridSpec", "StormTrack", "TrackPoint", "SyntheticTrack",
-    "FitConfig", "SimConfig", "ModelBundle", "Region", "RiskResult",
+    "FitConfig", "ModelBundle", "Region", "RiskResult",
     "build_grid", "destination_point", "great_circle_distance", "grid_cell",
     "initial_bearing", "load_catalog", "pacf",
     "fit_all", "load_bundle", "save_bundle", "simulate_catalog", "simulate_storm",
-    "bootstrap_ci", "exceedance_prob", "qq_envelope", "return_level", "return_period",
+    "bootstrap_ci", "exceedance_prob", "return_level", "return_period",
     "catalog", "condex", "engine", "errors", "evt", "gam", "kde",
     "preprocess", "risk", "toydata",
 ]

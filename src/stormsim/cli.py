@@ -250,11 +250,8 @@ def cmd_diagnose(config: dict) -> int:
     # per-variable PACF averaged over storms long enough for the lag window
     max_lag = int(dcfg["pacf_max_lag"])
     pacf_rows = []
-    for name, getter in (
-        ("speed", lambda s: s.speeds),
-        ("direction", lambda s: s.bearings),
-        ("vorticity", lambda s: s.vorticities),
-    ):
+    for name in ("speed", "direction", "vorticity"):
+        getter = risk.VARIABLE_GETTERS[name]
         vals = []
         for storm in catalog.storms:
             series = getter(storm)
@@ -290,18 +287,9 @@ def cmd_diagnose(config: dict) -> int:
     if sim_path and Path(sim_path).exists():
         sim = load_catalog(sim_path, years_of_record=None)
         probs = np.linspace(0.01, 0.99, int(dcfg["qq_points"]))
-        pairs = {
-            "speed": (np.concatenate([s.speeds for s in catalog.storms]),
-                      np.concatenate([s.speeds for s in sim.storms])),
-            "direction": (np.concatenate([s.bearings for s in catalog.storms]),
-                          np.concatenate([s.bearings for s in sim.storms])),
-            "vorticity": (np.concatenate([s.vorticities for s in catalog.storms]),
-                          np.concatenate([s.vorticities for s in sim.storms])),
-            "lifetime": (np.array([float(len(s)) for s in catalog.storms]),
-                         np.array([float(len(s)) for s in sim.storms])),
-        }
-        for name, (obs, simv) in pairs.items():
-            rows = risk.qq_envelope(obs, simv, probs, n_boot=int(dcfg["qq_boot"]), seed=0)
+        for name in risk.VARIABLE_GETTERS:
+            rows = risk.catalog_qq_envelope(catalog, sim, name, probs,
+                                            n_boot=int(dcfg["qq_boot"]), seed=0)
             _write_csv(out_dir / f"qq_{name}.csv",
                        ["p", "observed", "simulated", "lo95", "hi95", "inside"], rows, config)
     else:

@@ -55,16 +55,6 @@ class CondExFit:
             raise ValidationError("alpha/beta outside their boxes")
 
 
-@dataclass
-class TailChainState:
-    """Rolling window of the last (up to k) Laplace values, oldest first."""
-
-    recent: np.ndarray
-
-    def order(self, u_laplace: float, k: int) -> int:
-        return effective_order(self.recent, u_laplace, k)
-
-
 def collect_events(tracks, k: int, u_laplace: float):
     """Conditioning events: (S_t, followers S_{t+1..t+k}) with S_t > u_laplace.
 
@@ -113,42 +103,18 @@ def _fit_lag(x, y):
     return float(best.x[0]), float(best.x[1])
 
 
-def _fit_joint(x, followers, alpha0, beta0):
-    """Joint Gaussian working likelihood over all lags, profiled over (mean, cov)."""
-    n, k = followers.shape
-    log_x = np.log(x)
-
-    def nll(params):
-        alpha, beta = params[:k], params[k:]
-        e = (followers - alpha[None, :] * x[:, None]) / np.exp(np.outer(log_x, beta))
-        cov = np.cov(e, rowvar=False, ddof=0)
-        sign, logdet = np.linalg.slogdet(np.atleast_2d(cov))
-        if sign <= 0:
-            return 1e300
-        return 0.5 * n * logdet + float(beta @ np.full(k, np.sum(log_x)))
-
-    res = minimize(
-        nll, np.concatenate([alpha0, beta0]), method="Nelder-Mead",
-        bounds=[(-1.0, 1.0)] * k + [(0.0, 1.0)] * k,
-        options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 5000},
-    )
-    return res.x[:k], res.x[k:]
-
-
 def fit_condex(
     tracks,
     k: int = 3,
     u_laplace: float = 3.0,
     min_events: int = MIN_EVENTS,
     residual_scale: float = 1.0,
-    joint: bool = False,
 ) -> CondExFit:
     """Fit the order-k conditional-extremes model on Laplace-scale tracks.
 
-    Each lag is fitted independently by default; `joint=True` refines the
-    estimates under a joint Gaussian working model.  Residual vectors are
-    recovered by inverting the fitted relation and smoothed by a Gaussian
-    kernel for simulation.
+    Each lag is fitted independently.  Residual vectors are recovered by
+    inverting the fitted relation and smoothed by a Gaussian kernel for
+    simulation.
 
     Raises:
         InsufficientTailError: fewer than `min_events` conditioning events.
@@ -168,12 +134,10 @@ def fit_condex(
     beta = np.empty(k)
     for j in range(k):
         alpha[j], beta[j] = _fit_lag(x, followers[:, j])
-    if joint:
-        alpha, beta = _fit_joint(x, followers, alpha, beta)
 
     boundary = np.abs(np.abs(alpha) - 1.0) < BOUNDARY_TOL
     if np.any(boundary):
-        log.warning("alpha at boundary for lag(s) %s", list(np.where(boundary)[0] + 1))
+        log.warning("alpha at boundary for lag(s) %s", (np.flatnonzero(boundary) + 1).tolist())
 
     residuals = (followers - alpha[None, :] * x[:, None]) / x[:, None] ** beta[None, :]
     try:
@@ -215,7 +179,7 @@ def effective_order(recent, u_laplace: float, k: int) -> int:
     return l
 
 
-def step_tail_chain(fit: CondExFit, state, rng: np.random.Generator) -> float:
+def step_tail_chain(fit: CondExFit, recent, rng: np.random.Generator) -> float:
     """One extremal Markov step: draw S_j given the recent Laplace window.
 
     The effective order l anchors the step on S_{j-l}; the lag-l residual is
@@ -224,7 +188,7 @@ def step_tail_chain(fit: CondExFit, state, rng: np.random.Generator) -> float:
     kernel support, falls back to an unconditional residual draw (logged).
     The returned value is unconstrained in sign.
     """
-    recent = np.asarray(state.recent if isinstance(state, TailChainState) else state, dtype=float)
+    recent = np.asarray(recent, dtype=float)
     l = effective_order(recent, fit.u_laplace, fit.k)
     if l < 1:
         raise ValidationError("no threshold excess in the recent window; use the body sampler")

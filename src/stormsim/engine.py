@@ -19,10 +19,14 @@ kernel's +-2pi replication absorbs the remaining one-period ambiguity.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -88,15 +92,6 @@ class FitConfig:
     censored_resolution: float | None = None
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    n_storms: int = 1000
-    seed: int = 0
-    workers: int = 1
-    max_age: int = 800  # hard cap in 3-hourly steps (100 days)
-    hazard_region: tuple | None = None  # polygon [(lon, lat), ...]; None = everywhere
-
-
 @dataclass
 class CellKdeSet:
     """Per-cell kernel models with nearest-cell fallback assignment."""
@@ -104,6 +99,11 @@ class CellKdeSet:
     models: dict[tuple[int, int], kde.KdeModel]
     assignment: dict[tuple[int, int], tuple[int, int] | str]
     global_model: kde.KdeModel | None
+
+    def __post_init__(self):
+        for cell, key in self.assignment.items():
+            if key not in self.models and (key != "__global__" or self.global_model is None):
+                raise ValidationError(f"cell {cell} is assigned {key!r}, which has no model")
 
     def lookup(self, cell) -> kde.KdeModel:
         key = self.assignment.get(cell, "__global__")
@@ -251,14 +251,10 @@ def _laplace_of(w_tracks, marginal: evt.MixtureMarginal) -> list[np.ndarray]:
     return s_tracks
 
 
-def laplace_tracks(bundle_or_parts, catalog: Catalog):
+def laplace_tracks(bundle: ModelBundle, catalog: Catalog):
     """Per-storm W and S series (NaN where preprocessing does not apply)."""
-    if isinstance(bundle_or_parts, ModelBundle):
-        preproc, marginal = bundle_or_parts.preproc, bundle_or_parts.marginal
-    else:
-        preproc, marginal = bundle_or_parts
-    w_tracks = residual_tracks(preproc, catalog)
-    return w_tracks, _laplace_of(w_tracks, marginal)
+    w_tracks = residual_tracks(bundle.preproc, catalog)
+    return w_tracks, _laplace_of(w_tracks, bundle.marginal)
 
 
 def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
@@ -740,216 +736,100 @@ def replay_storm(bundle: ModelBundle, token: str, max_age: int = 800, hazard_reg
 # serialization
 # --------------------------------------------------------------------------
 
-def _kde_to_json(model: kde.KdeModel | None):
-    if model is None:
-        return None
-    return {
-        "samples": model.samples.tolist(),
-        "bandwidth": model.bandwidth.tolist(),
-        "scale": model.bandwidth_scale,
-        "structure": model.structure,
-        "circular_dims": list(model.circular_dims),
-    }
+# bundle fields whose JSON key differs from the attribute name
+_RENAMED = {"bandwidth_scale": "scale", "global_model": "global", "hazard_fit": "hazard"}
+# JSON types accepted for each scalar field type.  Numbers keep their JSON
+# type, and any number passes: fit settings from a config file are not
+# type-checked, so an int field of a written bundle may hold 10.0
+_SCALARS = {float: (int, float), int: (int, float), bool: (int, float), str: str}
 
 
-def _kde_from_json(obj):
-    if obj is None:
-        return None
-    return kde.KdeModel(
-        samples=np.array(obj["samples"], dtype=float),
-        bandwidth=np.array(obj["bandwidth"], dtype=float),
-        bandwidth_scale=float(obj["scale"]),
-        structure=obj["structure"],
-        circular_dims=tuple(obj["circular_dims"]),
+@functools.cache
+def _fields(cls) -> tuple:
+    """(attribute, JSON key, type hint) of each serialized dataclass field.
+
+    Fields whose names start with '_' are lazily built caches and are skipped.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, _RENAMED.get(f.name, f.name), hints[f.name])
+        for f in dataclasses.fields(cls) if not f.name.startswith("_")
     )
 
 
-def _cellset_to_json(cs: CellKdeSet):
-    return {
-        "models": {f"{i},{j}": _kde_to_json(m) for (i, j), m in sorted(cs.models.items())},
-        "assignment": {
-            f"{i},{j}": ("__global__" if v == "__global__" else f"{v[0]},{v[1]}")
-            for (i, j), v in sorted(cs.assignment.items())
-        },
-        "global": _kde_to_json(cs.global_model),
-    }
+def _encode(value):
+    """JSON form of a bundle value.
+
+    Dataclasses become objects, arrays nested lists, tuples lists, frozensets
+    sorted lists and slices [start, stop]; a cell index used as a dict key or
+    value becomes the string "i,j".
+    """
+    if dataclasses.is_dataclass(value):
+        return {key: _encode(getattr(value, name)) for name, key, _ in _fields(type(value))}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(_encode(v) for v in value)
+    if isinstance(value, slice):
+        return [value.start, value.stop]
+    if isinstance(value, dict):
+        return {_encode_in_dict(k): _encode_in_dict(v) for k, v in value.items()}
+    return value
 
 
-def _parse_cell(s: str):
-    i, j = s.split(",")
-    return (int(i), int(j))
+def _encode_in_dict(value):
+    return f"{value[0]},{value[1]}" if isinstance(value, tuple) else _encode(value)
 
 
-def _cellset_from_json(obj):
-    return CellKdeSet(
-        models={_parse_cell(key): _kde_from_json(val) for key, val in obj["models"].items()},
-        assignment={
-            _parse_cell(key): (val if val == "__global__" else _parse_cell(val))
-            for key, val in obj["assignment"].items()
-        },
-        global_model=_kde_from_json(obj["global"]),
-    )
+def _decode(hint, value):
+    """Rebuild a value of type `hint` from its JSON form (inverse of _encode).
+
+    Dataclasses are rebuilt through their constructors, so their checks run.
+    """
+    if dataclasses.is_dataclass(hint):
+        return hint(**{name: _decode(h, value[key]) for name, key, h in _fields(hint)})
+    if hint in _SCALARS:
+        if not isinstance(value, _SCALARS[hint]):
+            raise TypeError(f"expected {hint.__name__}, got {value!r:.40}")
+        return value
+    if hint is np.ndarray:
+        arr = np.array(value)
+        if not isinstance(value, list) or arr.dtype.kind not in "biuf":
+            raise ValueError(f"expected a numeric array, got {value!r:.40}")
+        return arr if arr.dtype == bool else arr.astype(float, copy=False)
+    if hint is slice:
+        start, stop = (_decode(int, v) for v in value)
+        return slice(start, stop)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        *options, last = (a for a in args if a is not type(None))
+        for option in options:
+            try:
+                return _decode(option, value)
+            except (TypeError, ValueError):
+                pass
+        return _decode(last, value)
+    if origin is tuple:
+        if isinstance(value, str):  # a cell index written as "i,j"
+            i, j = value.split(",")
+            return (int(i), int(j))
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(h, v) for h, v in zip(args, value, strict=True))
+    if origin is frozenset:
+        return frozenset(_decode(args[0], v) for v in value)
+    if origin is dict:
+        return {_decode(args[0], k): _decode(args[1], v) for k, v in value.items()}
+    raise TypeError(f"no JSON decoding for {hint!r}")
 
 
 def bundle_to_json(bundle: ModelBundle) -> str:
     """Canonical (sorted-key, repr-float) JSON for the bundle; byte-stable."""
-    gamf = bundle.hazard_fit
-    doc = {
-        "schema_version": bundle.schema_version,
-        "k": bundle.k,
-        "storms_per_year": bundle.storms_per_year,
-        "min_vorticity": bundle.min_vorticity,
-        "min_speed": bundle.min_speed,
-        "u_laplace": bundle.u_laplace,
-        "grid": {
-            "lon0": bundle.grid.lon0, "lat0": bundle.grid.lat0,
-            "dlon": bundle.grid.dlon, "dlat": bundle.grid.dlat,
-            "min_count": bundle.grid.min_count,
-            "extent": list(bundle.grid.extent) if bundle.grid.extent else None,
-            "active_cells": sorted(list(c) for c in bundle.grid.active_cells),
-        },
-        "genesis_location": _kde_to_json(bundle.genesis_location),
-        "genesis_conditions": _cellset_to_json(bundle.genesis_conditions),
-        "direction": _cellset_to_json(bundle.direction),
-        "speed": _cellset_to_json(bundle.speed),
-        "vorticity_body": _cellset_to_json(bundle.vorticity_body),
-        "preproc": {
-            "lam": bundle.preproc.lam,
-            "mu_coef": bundle.preproc.mu_coef.tolist(),
-            "sigma_coef": bundle.preproc.sigma_coef.tolist(),
-            "quadratic": bundle.preproc.quadratic,
-            "col_mean": bundle.preproc.col_mean.tolist(),
-            "col_scale": bundle.preproc.col_scale.tolist(),
-            "window": list(bundle.preproc.window),
-            "loglik": bundle.preproc.loglik,
-            "n": bundle.preproc.n,
-            "w_mean": bundle.preproc.w_mean,
-            "w_sd": bundle.preproc.w_sd,
-        },
-        "marginal": {
-            "body": _kde_to_json(bundle.marginal.body),
-            "gpd": {
-                "threshold": bundle.marginal.gpd.threshold,
-                "scale": bundle.marginal.gpd.scale,
-                "shape": bundle.marginal.gpd.shape,
-                "exceed_rate": bundle.marginal.gpd.exceed_rate,
-                "n_exceed": bundle.marginal.gpd.n_exceed,
-                "converged": bundle.marginal.gpd.converged,
-                "empirical_rate": bundle.marginal.gpd.empirical_rate,
-                "loglik": bundle.marginal.gpd.loglik,
-            },
-        },
-        "condex": {
-            "k": bundle.condex.k,
-            "u_laplace": bundle.condex.u_laplace,
-            "alpha": bundle.condex.alpha.tolist(),
-            "beta": bundle.condex.beta.tolist(),
-            "residuals": bundle.condex.residuals.tolist(),
-            "residual_kde": _kde_to_json(bundle.condex.residual_kde),
-            "n_events": bundle.condex.n_events,
-            "boundary": bundle.condex.boundary.tolist(),
-        },
-        "hazard": {
-            "covariates": list(gamf.covariates),
-            "bases": [
-                {"covariate": b.covariate, "knots": b.knots.tolist(), "degree": b.degree,
-                 "penalty_order": b.penalty_order}
-                for b in gamf.bases
-            ],
-            "constraints": [Z.tolist() for Z in gamf.constraints],
-            "slices": [[s.start, s.stop] for s in gamf.slices],
-            "coef": gamf.coef.tolist(),
-            "smoothing": gamf.smoothing.tolist(),
-            "gcv_score": gamf.gcv_score,
-            "aic": gamf.aic,
-            "edf": gamf.edf,
-            "deviance": gamf.deviance,
-            "n_rows": gamf.n_rows,
-            "converged": gamf.converged,
-            "min_age": gamf.min_age,
-        },
-        "config": {
-            **asdict(bundle.config),
-            "window": list(bundle.config.window),
-            "gam_covariates": list(bundle.config.gam_covariates),
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _grid_from_json(g):
-    return GridSpec(
-        lon0=g["lon0"], lat0=g["lat0"], dlon=g["dlon"], dlat=g["dlat"],
-        active_cells=frozenset(tuple(c) for c in g["active_cells"]),
-        min_count=g["min_count"],
-        extent=tuple(g["extent"]) if g["extent"] else None,
-    )
-
-
-def _preproc_from_json(p):
-    return preprocess.PreprocFit(
-        lam=p["lam"], mu_coef=np.array(p["mu_coef"]), sigma_coef=np.array(p["sigma_coef"]),
-        quadratic=p["quadratic"], col_mean=np.array(p["col_mean"]),
-        col_scale=np.array(p["col_scale"]), window=tuple(p["window"]),
-        loglik=p["loglik"], n=p["n"], w_mean=p["w_mean"], w_sd=p["w_sd"],
-    )
-
-
-def _marginal_from_json(m):
-    gp = m["gpd"]
-    return evt.MixtureMarginal(
-        body=_kde_from_json(m["body"]),
-        gpd=evt.GpdFit(
-            threshold=gp["threshold"], scale=gp["scale"], shape=gp["shape"],
-            exceed_rate=gp["exceed_rate"], n_exceed=gp["n_exceed"],
-            converged=gp["converged"], empirical_rate=gp["empirical_rate"],
-            loglik=gp["loglik"],
-        ),
-    )
-
-
-def _condex_from_json(c):
-    return condex_mod.CondExFit(
-        k=c["k"], u_laplace=c["u_laplace"], alpha=np.array(c["alpha"]),
-        beta=np.array(c["beta"]), residuals=np.array(c["residuals"]),
-        residual_kde=_kde_from_json(c["residual_kde"]), n_events=c["n_events"],
-        boundary=np.array(c["boundary"], dtype=bool),
-    )
-
-
-def _hazard_from_json(h):
-    return gam.GamFit(
-        covariates=tuple(h["covariates"]),
-        bases=tuple(
-            gam.SplineBasis(covariate=b["covariate"], knots=np.array(b["knots"]),
-                            degree=b["degree"], penalty_order=b["penalty_order"])
-            for b in h["bases"]
-        ),
-        constraints=tuple(np.array(Z) for Z in h["constraints"]),
-        slices=tuple(slice(a, b) for a, b in h["slices"]),
-        coef=np.array(h["coef"]),
-        smoothing=np.array(h["smoothing"]),
-        gcv_score=h["gcv_score"], aic=h["aic"], edf=h["edf"], deviance=h["deviance"],
-        n_rows=h["n_rows"], converged=h["converged"], min_age=h["min_age"],
-    )
-
-
-def _config_from_json(cfg):
-    cfg = dict(cfg)
-    cfg["window"] = tuple(cfg["window"])
-    cfg["gam_covariates"] = tuple(cfg["gam_covariates"])
-    return FitConfig(**cfg)
-
-
-_BUNDLE_FIELDS = {
-    "k": None, "storms_per_year": None, "min_vorticity": None, "min_speed": None,
-    "u_laplace": None, "grid": _grid_from_json,
-    "genesis_location": _kde_from_json, "genesis_conditions": _cellset_from_json,
-    "direction": _cellset_from_json, "speed": _cellset_from_json,
-    "vorticity_body": _cellset_from_json, "preproc": _preproc_from_json,
-    "marginal": _marginal_from_json, "condex": _condex_from_json,
-    "hazard": _hazard_from_json, "config": _config_from_json,
-}
+    return json.dumps(_encode(bundle), sort_keys=True, separators=(",", ":"))
 
 
 def bundle_from_json(text: str) -> ModelBundle:
@@ -969,17 +849,16 @@ def bundle_from_json(text: str) -> ModelBundle:
     if version != SCHEMA_VERSION:
         raise ValidationError(f"bundle schema version {version} != {SCHEMA_VERSION}")
     parts = {}
-    for name, parse in _BUNDLE_FIELDS.items():
-        if name not in doc:
-            raise ValidationError(f"bundle is missing field {name!r}")
+    for name, key, hint in _fields(ModelBundle):
+        if key not in doc:
+            raise ValidationError(f"bundle is missing field {key!r}")
         try:
-            parts[name] = parse(doc[name]) if parse else doc[name]
+            parts[name] = _decode(hint, doc[key])
         except KeyError as exc:
-            raise ValidationError(f"bundle field {name!r} is missing {exc.args[0]!r}") from exc
+            raise ValidationError(f"bundle field {key!r} is missing {exc.args[0]!r}") from exc
         except (TypeError, ValueError, AttributeError, IndexError, ValidationError) as exc:
-            raise ValidationError(f"bundle field {name!r} is invalid: {exc}") from exc
-    parts["hazard_fit"] = parts.pop("hazard")
-    return ModelBundle(**parts, schema_version=version)
+            raise ValidationError(f"bundle field {key!r} is invalid: {exc}") from exc
+    return ModelBundle(**parts)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -357,32 +357,3 @@ def catalog_qq_envelope(observed: Catalog, simulated: Catalog, variable,
         (float(p), float(o), float(s), float(a), float(z), bool(a <= o <= z))
         for p, o, s, a, z in zip(probs, obs_q, sim_q, lo, hi)
     ]
-
-
-def qq_envelope(observed, simulated, probs=None, level: float = 0.95,
-                n_boot: int = 200, seed: int = 0):
-    """Observed-vs-simulated quantiles with pointwise tolerance bands.
-
-    Bands come from resampling the simulated sample at the observed size.
-    Returns rows (p, observed_q, simulated_q, lo, hi, inside).
-    """
-    observed = np.asarray(observed, dtype=float)
-    simulated = np.asarray(simulated, dtype=float)
-    if observed.size == 0 or simulated.size == 0:
-        raise ValidationError("empty sample")
-    if probs is None:
-        probs = np.linspace(0.01, 0.99, 99)
-    probs = np.asarray(probs, dtype=float)
-    obs_q = np.quantile(observed, probs)
-    sim_q = np.quantile(simulated, probs)
-    rng = np.random.default_rng(seed)
-    reps = np.empty((n_boot, probs.size))
-    for b in range(n_boot):
-        reps[b] = np.quantile(rng.choice(simulated, size=observed.size, replace=True), probs)
-    alpha = (1.0 - level) / 2.0
-    lo = np.percentile(reps, 100 * alpha, axis=0)
-    hi = np.percentile(reps, 100 * (1 - alpha), axis=0)
-    return [
-        (float(p), float(o), float(s), float(a), float(z), bool(a <= o <= z))
-        for p, o, s, a, z in zip(probs, obs_q, sim_q, lo, hi)
-    ]

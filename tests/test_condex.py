@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from stormsim.condex import (
     CondExFit,
-    TailChainState,
     collect_events,
     effective_order,
     fit_condex,
@@ -92,14 +91,6 @@ def test_threshold_stability():
     assert a == pytest.approx(b, abs=0.1)
 
 
-def test_joint_fit_close_to_marginal():
-    tracks, _ = gaussian_copula_tracks(0.7, 20_000, seed=5, length=4)
-    u = -math.log(2 * 0.02)
-    marg = fit_condex(tracks, k=2, u_laplace=u)
-    joint = fit_condex(tracks, k=2, u_laplace=u, joint=True)
-    np.testing.assert_allclose(joint.alpha, marg.alpha, atol=0.1)
-
-
 # ---------------------------------------------------------------- effective order
 
 def test_effective_order_paper_cases():
@@ -177,10 +168,3 @@ def test_chain_drifts_back_below_threshold(copula_fit):
                 returned += 1
                 break
     assert returned >= 48
-
-
-def test_tail_chain_state_wrapper(copula_fit):
-    state = TailChainState(recent=np.array([1.0, 4.0, 5.0]))
-    assert state.order(copula_fit.u_laplace, copula_fit.k) == 2
-    val = step_tail_chain(copula_fit, state, np.random.default_rng(12))
-    assert math.isfinite(val)

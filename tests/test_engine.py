@@ -55,9 +55,14 @@ def test_bundle_composition(fitted_bundle):
     assert b.preproc.w_sd == pytest.approx(1.0, abs=0.02)
 
 
-def test_fit_deterministic_and_serialization_round_trip():
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"min_cell_tuples": 10**6},  # no cell has its own model: every cell on "__global__"
+    {"grid_dlon": 8},  # an int-valued grid size stays an int
+], ids=["default", "all-global", "int-dlon"])
+def test_fit_deterministic_and_serialization_round_trip(overrides):
     cat = make_catalog(n_storms=80, seed=7)
-    cfg = fast_config(gcv_points=5)
+    cfg = fast_config(gcv_points=5, **overrides)
     a = bundle_to_json(fit_all(cat, cfg))
     b = bundle_to_json(fit_all(cat, cfg))
     assert a == b
@@ -292,6 +297,42 @@ def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
     doc = json.loads(bundle_to_json(fitted_bundle))
     del doc["marginal"]["gpd"]["shape"]
     with pytest.raises(ValidationError, match="'marginal' is missing 'shape'"):
+        bundle_from_json(json.dumps(doc))
+
+
+def test_bundle_json_layout(fitted_bundle):
+    import json
+
+    doc = json.loads(bundle_to_json(fitted_bundle))
+    assert "hazard" in doc and "hazard_fit" not in doc
+    assert set(doc["direction"]) == {"models", "assignment", "global"}
+    # lazily built caches (_unrolled, _partitions, _samplers) are not written
+    assert set(doc["genesis_location"]) == {"samples", "bandwidth", "scale", "structure",
+                                            "circular_dims"}
+    cell, target = next(iter(doc["direction"]["assignment"].items()))
+    assert target in doc["direction"]["models"] and len(cell.split(",")) == 2
+    assert doc["grid"]["active_cells"] == sorted(map(list, fitted_bundle.grid.active_cells))
+    assert doc["hazard"]["slices"] == [[s.start, s.stop] for s in fitted_bundle.hazard_fit.slices]
+
+
+def _first_cell(cell_set):
+    return sorted(cell_set["assignment"])[0]
+
+
+@pytest.mark.parametrize("field, mangle", [
+    ("direction", lambda d: d["direction"]["assignment"].__setitem__(
+        _first_cell(d["direction"]), "x")),
+    ("direction", lambda d: d["direction"]["models"].pop(
+        d["direction"]["assignment"][_first_cell(d["direction"])])),
+    ("preproc", lambda d: d["preproc"].__setitem__("lam", "x")),
+    ("condex", lambda d: d["condex"].__setitem__("alpha", None)),
+], ids=["unknown-assignment", "assigned-model-missing", "string-number", "null-array"])
+def test_bundle_from_json_rejects_mangled_values(fitted_bundle, field, mangle):
+    import json
+
+    doc = json.loads(bundle_to_json(fitted_bundle))
+    mangle(doc)
+    with pytest.raises(ValidationError, match=f"bundle field '{field}' is invalid"):
         bundle_from_json(json.dumps(doc))
 
 

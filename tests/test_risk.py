@@ -11,10 +11,10 @@ from stormsim.risk import (
     Region,
     _percentile_interval,
     bootstrap_ci,
+    catalog_qq_envelope,
     cell_return_periods,
     exceedance_prob,
     max_exceedance_prob,
-    qq_envelope,
     return_level,
     return_period,
     spatial_density,
@@ -288,28 +288,33 @@ def test_bootstrap_coverage_of_known_probability():
 # ------------------------------------------------------------- envelopes
 
 def test_qq_identical_samples_inside():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=2000)
-    rows = qq_envelope(x, x.copy(), n_boot=200, seed=0)
+    cat = random_catalog(np.random.default_rng(11), n_storms=150)
+    rows = catalog_qq_envelope(cat, cat, "vorticity", n_boot=200, seed=0)
     assert all(r[5] for r in rows)
 
 
 def test_qq_shifted_sample_detected():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=2000)
-    rows = qq_envelope(x, x + 3.0, n_boot=200, seed=0)
+    cat = random_catalog(np.random.default_rng(12), n_storms=150)
+    shifted = Catalog(
+        storms=tuple(storm_from_arrays(s.id, s.lons, s.lats, s.vorticities + 3.0)
+                     for s in cat.storms),
+        years_of_record=cat.years_of_record,
+    )
+    rows = catalog_qq_envelope(cat, shifted, "vorticity", n_boot=200, seed=0)
     outside = sum(1 for r in rows if not r[5])
     assert outside > len(rows) / 2
 
 
 def test_qq_band_width_tracks_monte_carlo_error():
-    # bands resample the simulated pool at the observed size, so their width
-    # is the Monte Carlo error of an observed-size sample: ~1/sqrt(n_obs)
+    # bands resample whole simulated storms at the observed storm count, so
+    # their width is the Monte Carlo error of that many storms: ~1/sqrt(n_obs)
     rng = np.random.default_rng(13)
-    sim = rng.normal(size=50_000)
+    sim = random_catalog(rng, n_storms=2000)
     width = lambda rows: np.mean([r[4] - r[3] for r in rows])
-    w_small = width(qq_envelope(rng.normal(size=200), sim, n_boot=200, seed=1))
-    w_big = width(qq_envelope(rng.normal(size=6400), sim, n_boot=200, seed=1))
+    w_small = width(catalog_qq_envelope(random_catalog(rng, n_storms=30), sim, "vorticity",
+                                        n_boot=200, seed=1))
+    w_big = width(catalog_qq_envelope(random_catalog(rng, n_storms=960), sim, "vorticity",
+                                      n_boot=200, seed=1))
     assert w_big < w_small / 3.0  # expect ~1/sqrt(32) ~ 0.18 ratio
 
 
