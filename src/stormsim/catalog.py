@@ -1,9 +1,11 @@
 """Track catalogs, derived kinematics, spherical geometry and spatial gridding.
 
 Tracks are sequences of 3-hourly positions with a vorticity value at each
-point.  From consecutive positions we derive the translation speed (m/s) and
-the initial bearing (radians, 0 = due north, pi/2 = due east).  All geometry
-treats the Earth as a sphere of radius 6371 km.
+point, stored as lon/lat/vorticity columns; a catalog concatenates them into
+flat columns for risk analytics.  From consecutive positions we derive the
+translation speed (m/s) and the initial bearing (radians, 0 = due north,
+pi/2 = due east).  All geometry treats the Earth as a sphere of radius
+6371 km.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,80 +125,62 @@ class TrackPoint:
     vorticity: float  # relative vorticity, units of 1e-5 s^-1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StormTrack:
-    """A time-ordered storm track with derived per-step kinematics.
+    """A time-ordered storm track stored as columns.
 
-    `speeds[i]` and `bearings[i]` describe the step from `points[i]` to
-    `points[i+1]`, so both have length ``len(points) - 1``.  A zero-length
-    step keeps the previous bearing (0.0 if it is the first step).  When not
-    given, they are derived from the points on first access.
+    `lons`, `lats` and `vorticities` are float arrays holding one value per
+    3-hourly point, and point i has time index ``t0 + i``.  `speeds[i]` and
+    `bearings[i]` describe the step from point i to point i+1, so both have
+    length ``len(track) - 1``; a zero-length step keeps the previous bearing
+    (0.0 if it is the first step).  They are derived from the positions on
+    first access, which loading a catalog for risk analytics never makes.
+    The arrays are shared, not copied: treat them as read-only.
     """
 
     id: str
-    points: tuple[TrackPoint, ...]
-    speeds: np.ndarray = field(repr=False, compare=False, default=None)
-    bearings: np.ndarray = field(repr=False, compare=False, default=None)
+    lons: np.ndarray
+    lats: np.ndarray
+    vorticities: np.ndarray
+    t0: int = 0
 
     def __post_init__(self):
-        if len(self.points) < MIN_TRACK_POINTS:
+        for name in ("lons", "lats", "vorticities"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = len(self.lons)
+        if not len(self.lats) == len(self.vorticities) == n:
+            raise ValidationError(f"storm {self.id!r}: lon, lat and vorticity lengths differ")
+        if n < MIN_TRACK_POINTS:
             raise ValidationError(
-                f"storm {self.id!r}: {len(self.points)} points, "
-                f"need at least {MIN_TRACK_POINTS} (24 h lifespan)"
+                f"storm {self.id!r}: {n} points, need at least {MIN_TRACK_POINTS} (24 h lifespan)"
             )
-        t = [p.time_index for p in self.points]
-        if any(b - a != 1 for a, b in zip(t, t[1:])):
-            raise ValidationError(f"storm {self.id!r}: time_index not contiguous")
 
     def __len__(self):
-        return len(self.points)
+        return len(self.lons)
 
     @property
-    def vorticities(self) -> np.ndarray:
-        return np.array([p.vorticity for p in self.points])
+    def points(self) -> tuple[TrackPoint, ...]:
+        """The points as records, built from the columns on each access."""
+        cols = zip(self.lons.tolist(), self.lats.tolist(), self.vorticities.tolist())
+        return tuple(TrackPoint(x, y, self.t0 + i, w) for i, (x, y, w) in enumerate(cols))
 
-    @property
-    def lons(self) -> np.ndarray:
-        return np.array([p.lon for p in self.points])
+    @functools.cached_property
+    def _kinematics(self) -> tuple[np.ndarray, np.ndarray]:
+        return _derive_kinematics(self.lons.tolist(), self.lats.tolist())
 
-    @property
-    def lats(self) -> np.ndarray:
-        return np.array([p.lat for p in self.points])
-
-
-class _Kinematics:
-    """A per-step array of a track, stored as given or derived on first access."""
-
-    def __init__(self, slot: str):
-        self.slot = slot
-
-    def __get__(self, track, owner=None):
-        if track is None:
-            return None
-        state = track.__dict__
-        if state.get(self.slot) is None:
-            for slot, derived in zip(("_speeds", "_bearings"), _derive_kinematics(track.points)):
-                if state.get(slot) is None:
-                    state[slot] = derived
-        return state[self.slot]
-
-    def __set__(self, track, value):
-        track.__dict__[self.slot] = value
+    # not data descriptors, so a subclass may store these as dataclass fields
+    speeds = functools.cached_property(lambda self: self._kinematics[0])
+    bearings = functools.cached_property(lambda self: self._kinematics[1])
 
 
-# loading a catalog for risk analytics never reads speeds or bearings
-StormTrack.speeds = _Kinematics("_speeds")
-StormTrack.bearings = _Kinematics("_bearings")
-
-
-def _derive_kinematics(points):
-    n = len(points)
+def _derive_kinematics(lons: list[float], lats: list[float]):
+    n = len(lons)
     speeds = np.empty(n - 1)
     bearings = np.empty(n - 1)
     prev_bearing = 0.0
     for i in range(n - 1):
-        p = (points[i].lon, points[i].lat)
-        q = (points[i + 1].lon, points[i + 1].lat)
+        p = (lons[i], lats[i])
+        q = (lons[i + 1], lats[i + 1])
         d = great_circle_distance(p, q)
         speeds[i] = d / STEP_SECONDS
         if d > 0.0:
@@ -240,12 +224,11 @@ class Catalog:
 
     @functools.cached_property
     def columns(self) -> CatalogColumns:
-        """Columnar view of the track points, built on first use."""
-        points = [p for s in self.storms for p in s.points]
+        """The tracks' columns concatenated, built on first use."""
         return CatalogColumns(
-            lon=np.array([p.lon for p in points]),
-            lat=np.array([p.lat for p in points]),
-            vorticity=np.array([p.vorticity for p in points]),
+            lon=np.concatenate([s.lons for s in self.storms]),
+            lat=np.concatenate([s.lats for s in self.storms]),
+            vorticity=np.concatenate([s.vorticities for s in self.storms]),
             storm=np.repeat(np.arange(len(self.storms)), [len(s) for s in self.storms]),
         )
 
@@ -262,10 +245,11 @@ def load_catalog(path, years_of_record: float | None = None) -> Catalog:
 
     Raises:
         ParseError: malformed row (reported with its line number).
-        ValidationError: duplicate or non-contiguous time indices, bad
-            coordinates, non-positive vorticity, or no usable storms.
+        ValidationError: duplicate or non-contiguous time indices, bad or
+            non-finite coordinates, non-positive or non-finite vorticity, or
+            no usable storms.
     """
-    rows: dict[str, dict[int, TrackPoint]] = {}
+    rows: dict[str, dict[int, tuple[float, float, float]]] = {}
     header: list[str] | None = None
     col: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -290,19 +274,22 @@ def load_catalog(path, years_of_record: float | None = None) -> Catalog:
             try:
                 sid = raw[col["storm_id"]].strip()
                 t = int(raw[col["time_index"]])
-                lon = normalize_lon(float(raw[col["lon"]]))
+                lon = float(raw[col["lon"]])
                 lat = float(raw[col["lat"]])
                 vort = float(raw[col["vorticity"]])
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            where = f"storm {sid!r}, line {lineno}"
+            if not math.isfinite(lon):
+                raise ValidationError(f"{where}: longitude {lon} is not finite")
             if not -90.0 < lat < 90.0:
-                raise ValidationError(f"storm {sid!r}: latitude {lat} not inside (-90, 90)")
-            if not vort > 0.0:
-                raise ValidationError(f"storm {sid!r}: vorticity must be positive, got {vort}")
+                raise ValidationError(f"{where}: latitude {lat} not inside (-90, 90)")
+            if not 0.0 < vort < math.inf:
+                raise ValidationError(f"{where}: vorticity must be positive and finite, got {vort}")
             storm = rows.setdefault(sid, {})
             if t in storm:
-                raise ValidationError(f"storm {sid!r}: duplicate time_index {t}")
-            storm[t] = TrackPoint(lon=lon, lat=lat, time_index=t, vorticity=vort)
+                raise ValidationError(f"{where}: duplicate time_index {t}")
+            storm[t] = (normalize_lon(lon), lat, vort)
     if header is None:
         raise ParseError("empty file", line=0)
     if years_of_record is None:
@@ -311,11 +298,14 @@ def load_catalog(path, years_of_record: float | None = None) -> Catalog:
     storms = []
     n_short = 0
     for sid, by_time in rows.items():
-        points = tuple(by_time[t] for t in sorted(by_time))
-        if len(points) < MIN_TRACK_POINTS:
+        times = sorted(by_time)
+        if len(times) < MIN_TRACK_POINTS:
             n_short += 1
             continue
-        storms.append(StormTrack(id=sid, points=points))
+        if times[-1] - times[0] != len(times) - 1:  # the times are distinct
+            raise ValidationError(f"storm {sid!r}: time_index not contiguous")
+        lons, lats, vorts = np.array([by_time[t] for t in times]).T
+        storms.append(StormTrack(sid, lons, lats, vorts, t0=times[0]))
     if n_short:
         log.warning("rejected %d track(s) shorter than %d points", n_short, MIN_TRACK_POINTS)
     if not storms:
@@ -365,6 +355,17 @@ def grid_cell(p, grid: GridSpec):
     return (i, j)
 
 
+def cell_counts(lons: np.ndarray, lats: np.ndarray, grid: GridSpec) -> dict[tuple[int, int], int]:
+    """Points per cell of `grid`, in order of first appearance; points
+    outside the grid extent are not counted."""
+    counts: dict[tuple[int, int], int] = {}
+    for p in zip(lons.tolist(), lats.tolist()):
+        cell = grid_cell(p, grid)
+        if cell is not None:
+            counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
 def build_grid(
     catalog: Catalog,
     dlon: float = 8.0,
@@ -376,13 +377,7 @@ def build_grid(
 ) -> GridSpec:
     """Impose a grid on the catalog domain and mark cells with enough points active."""
     base = GridSpec(lon0=lon0, lat0=lat0, dlon=dlon, dlat=dlat, min_count=min_count, extent=extent)
-    counts: dict[tuple[int, int], int] = {}
-    for storm in catalog.storms:
-        for pt in storm.points:
-            cell = grid_cell((pt.lon, pt.lat), base)
-            if cell is None:
-                continue
-            counts[cell] = counts.get(cell, 0) + 1
+    counts = cell_counts(catalog.columns.lon, catalog.columns.lat, base)
     active = frozenset(c for c, n in counts.items() if n >= min_count)
     return GridSpec(
         lon0=lon0, lat0=lat0, dlon=dlon, dlat=dlat,

@@ -38,7 +38,6 @@ from .catalog import (
     GridSpec,
     PoleDegeneracyError,
     StormTrack,
-    TrackPoint,
     STEP_SECONDS,
     build_grid,
     destination_point,
@@ -140,10 +139,12 @@ class ModelBundle:
     schema_version: int = SCHEMA_VERSION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticTrack(StormTrack):
-    """A simulated storm with its provenance."""
+    """A simulated storm with its sampled kinematics and provenance."""
 
+    speeds: np.ndarray = dataclasses.field(kw_only=True, repr=False)
+    bearings: np.ndarray = dataclasses.field(kw_only=True, repr=False)
     seed_token: str = ""
     sampler_tags: tuple[str, ...] = ()
     termination_cause: str = ""
@@ -281,22 +282,19 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
     speed_by_cell: dict = {}
     vort_by_cell: dict = {}
     for storm in catalog.storms:
-        pts = storm.points
         b, v, w = storm.bearings, storm.speeds, storm.vorticities
-        genesis_rows.append((pts[0].lon, pts[0].lat))
-        cell0 = grid_cell((pts[0].lon, pts[0].lat), grid)
-        genesis_by_cell.setdefault(cell0, []).append((v[0], b[0], w[0]))
+        cells = [grid_cell(p, grid) for p in zip(storm.lons.tolist(), storm.lats.tolist())]
+        genesis_rows.append((storm.lons[0], storm.lats[0]))
+        genesis_by_cell.setdefault(cells[0], []).append((v[0], b[0], w[0]))
 
         for t in range(k, len(b)):  # direction / speed transitions at time t
-            cell = grid_cell((pts[t].lon, pts[t].lat), grid)
             window = _recenter_window(b[t - k : t + 1], anchor=k - 1)
-            theta_by_cell.setdefault(cell, []).append(window)
-            speed_by_cell.setdefault(cell, []).append(
+            theta_by_cell.setdefault(cells[t], []).append(window)
+            speed_by_cell.setdefault(cells[t], []).append(
                 np.concatenate([v[t - k : t], [b[t]], [v[t]]])
             )
-        for t in range(k, len(pts)):  # vorticity transitions at time t
-            cell = grid_cell((pts[t].lon, pts[t].lat), grid)
-            vort_by_cell.setdefault(cell, []).append(
+        for t in range(k, len(w)):  # vorticity transitions at time t
+            vort_by_cell.setdefault(cells[t], []).append(
                 np.concatenate([w[t - k : t], [b[t - 1]], [w[t]]])
             )
 
@@ -648,14 +646,11 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
 
 
 def _build_track(sid: str, fields: dict, token: str) -> SyntheticTrack:
-    points = tuple(
-        TrackPoint(lon=fields["lons"][i], lat=fields["lats"][i], time_index=i,
-                   vorticity=fields["omegas"][i])
-        for i in range(len(fields["lons"]))
-    )
     return SyntheticTrack(
         id=sid,
-        points=points,
+        lons=fields["lons"],
+        lats=fields["lats"],
+        vorticities=fields["omegas"],
         speeds=np.asarray(fields["speeds"]),
         bearings=np.asarray(fields["thetas"]),
         seed_token=token,

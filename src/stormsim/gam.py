@@ -137,30 +137,29 @@ def storm_rows(storms, covariates=DEFAULT_COVARIATES, terminal=None):
     """
     if terminal is None:
         terminal = [True] * len(storms)
-    cols: dict[str, list] = {name: [] for name in covariates}
-    y = []
+    cols: dict[str, list] = {name: [np.empty(0)] for name in covariates}
+    y = [np.empty(0)]
     n_skipped = 0
     for storm, is_terminal in zip(storms, terminal):
-        pts = storm.points
-        if len(pts) < MIN_AGE + 1:
+        n = len(storm)
+        if n < MIN_AGE + 1:
             n_skipped += 1
             continue
-        omga = [p.vorticity for p in pts]
-        for i in range(MIN_AGE - 1, len(pts)):
-            values = {
-                "vorticity": omga[i],
-                "drop": omga[i - 1] - omga[i],
-                "age": float(i + 1),
-                "lon": pts[i].lon,
-                "lat": pts[i].lat,
-            }
-            for name in covariates:
-                cols[name].append(values[name])
-            y.append(1 if (is_terminal and i == len(pts) - 1) else 0)
+        vort = storm.vorticities
+        values = {
+            "vorticity": vort[MIN_AGE - 1 :],
+            "drop": vort[MIN_AGE - 2 : -1] - vort[MIN_AGE - 1 :],
+            "age": np.arange(MIN_AGE, n + 1, dtype=float),
+            "lon": storm.lons[MIN_AGE - 1 :],
+            "lat": storm.lats[MIN_AGE - 1 :],
+        }
+        for name in covariates:
+            cols[name].append(values[name])
+        y.append((values["age"] == n) & bool(is_terminal))
     if n_skipped:
         log.warning("termination design: excluded %d storm(s) shorter than %d points",
                     n_skipped, MIN_AGE + 1)
-    return {name: np.array(vals) for name, vals in cols.items()}, np.array(y, dtype=float)
+    return {name: np.concatenate(vals) for name, vals in cols.items()}, np.concatenate(y)
 
 
 def build_design(storms, covariates=DEFAULT_COVARIATES, terminal=None, n_interior: int = 10) -> HazardDesign:
@@ -237,6 +236,16 @@ class GamFit:
 
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
     _tables: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        n_smooth = len(self.covariates)
+        if not len(self.bases) == len(self.constraints) == len(self.slices) == n_smooth:
+            raise ValidationError(f"need one basis, constraint and slice per covariate ({n_smooth})")
+        n_coef = self.slices[-1].stop if self.slices else 1
+        if self.coef.shape != (n_coef,):
+            raise ValidationError(f"coef must hold {n_coef} values, got {self.coef.shape}")
+        if self.smoothing.shape != (n_smooth,):
+            raise ValidationError(f"smoothing must hold {n_smooth} values, got {self.smoothing.shape}")
 
     def _effect_spline(self, i: int) -> BSpline:
         # s_i(x) = B(x) @ (Z @ coef): one spline with combined coefficients

@@ -70,6 +70,15 @@ class KdeModel:
     _partitions: dict = field(default_factory=dict, repr=False, compare=False)
     _samplers: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.samples.ndim != 2 or self.samples.shape[0] == 0:
+            raise ValidationError(f"samples must be a non-empty n x d matrix, got {self.samples.shape}")
+        d = self.d
+        if self.bandwidth.shape != (d, d):
+            raise ValidationError(f"bandwidth must be {d} x {d}, got {self.bandwidth.shape}")
+        if any(c < 0 or c >= d for c in self.circular_dims):
+            raise ValidationError(f"circular_dims {self.circular_dims} out of range for d={d}")
+
     @property
     def n(self) -> int:
         return self.samples.shape[0]
@@ -175,8 +184,6 @@ def fit_kde(
     if structure not in ("diagonal", "oriented"):
         raise ValidationError(f"unknown structure {structure!r}")
     circular_dims = tuple(sorted(int(c) for c in circular_dims))
-    if any(c < 0 or c >= d for c in circular_dims):
-        raise ValidationError(f"circular_dims {circular_dims} out of range for d={d}")
 
     if cov is None:
         if n < 2:

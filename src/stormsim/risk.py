@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, GridSpec, grid_cell
+from .catalog import Catalog, GridSpec, cell_counts
 from .errors import UndefinedRegionError, ValidationError
 
 UK_REGION_BOUNDS = (-11.0, 2.0, 50.0, 60.0)
@@ -259,18 +259,13 @@ def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all",
     """
     if subset not in ("all", "genesis", "lysis"):
         raise ValidationError(f"unknown subset {subset!r}")
-    counts: dict = {}
-    for storm in catalog.storms:
-        if subset == "genesis":
-            pts = [storm.points[0]]
-        elif subset == "lysis":
-            pts = [storm.points[-1]]
-        else:
-            pts = storm.points
-        for p in pts:
-            cell = grid_cell((p.lon, p.lat), grid)
-            if cell is not None:
-                counts[cell] = counts.get(cell, 0) + 1
+    if subset == "all":
+        lons, lats = catalog.columns.lon, catalog.columns.lat
+    else:
+        end = 0 if subset == "genesis" else -1
+        lons = np.array([s.lons[end] for s in catalog.storms])
+        lats = np.array([s.lats[end] for s in catalog.storms])
+    counts = cell_counts(lons, lats, grid)
     rows = []
     weights = {}
     for cell, n in counts.items():

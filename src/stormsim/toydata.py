@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .catalog import Catalog, PoleDegeneracyError, StormTrack, TrackPoint, destination_point, wrap_angle
+from .catalog import Catalog, PoleDegeneracyError, StormTrack, destination_point, wrap_angle
 
 
 def make_catalog(n_storms: int = 300, seed: int = 0, years_of_record: float | None = None) -> Catalog:
@@ -37,7 +37,7 @@ def _make_storm(storm_id: str, rng: np.random.Generator, max_steps: int = 60) ->
     omega = 1.4 + 0.8 * abs(rng.standard_normal())
     peak = 1.5 + rng.gamma(2.0, 0.8)
 
-    points = [TrackPoint(lon=lon, lat=lat, time_index=0, vorticity=omega)]
+    points = [(lon, lat, omega)]
     for age in range(2, max_steps + 1):
         theta_pref = math.pi / 2.0 - 0.02 * (lat - 40.0) - 0.004 * (lon + 60.0)
         v_pref = 12.0 + 0.08 * (lon + 60.0) - 0.15 * abs(lat - 52.0)
@@ -50,10 +50,11 @@ def _make_storm(storm_id: str, rng: np.random.Generator, max_steps: int = 60) ->
             lon, lat = destination_point((lon, lat), v, theta)
         except PoleDegeneracyError:
             break
-        points.append(TrackPoint(lon=lon, lat=lat, time_index=age - 1, vorticity=omega))
+        points.append((lon, lat, omega))
 
         if age >= 8:
             hazard = 1.0 / (1.0 + math.exp(-(-5.0 + 0.08 * (age - 8.0) + 0.6 * max(0.0, 2.0 - omega))))
             if rng.uniform() < hazard:
                 break
-    return StormTrack(id=storm_id, points=tuple(points))
+    lons, lats, omegas = np.transpose(points)
+    return StormTrack(id=storm_id, lons=lons, lats=lats, vorticities=omegas)

@@ -18,7 +18,6 @@ from stormsim import evt, kde
 from stormsim.catalog import (
     Catalog,
     StormTrack,
-    TrackPoint,
     destination_point,
     great_circle_distance,
     initial_bearing,
@@ -216,14 +215,10 @@ def _random_catalog(rng, n_storms):
     storms = []
     for i in range(n_storms):
         n = int(rng.integers(8, 25))
-        pts = tuple(
-            TrackPoint(
-                lon=float(rng.uniform(-20, 10)), lat=float(rng.uniform(45, 65)),
-                time_index=t, vorticity=float(rng.gamma(3.0, 1.0) + 0.5),
-            )
-            for t in range(n)
-        )
-        storms.append(StormTrack(id=f"s{i}", points=pts))
+        draws = [(float(rng.uniform(-20, 10)), float(rng.uniform(45, 65)),
+                  float(rng.gamma(3.0, 1.0) + 0.5)) for t in range(n)]
+        lons, lats, vorts = zip(*draws)
+        storms.append(StormTrack(id=f"s{i}", lons=lons, lats=lats, vorticities=vorts))
     return Catalog(storms=tuple(storms), years_of_record=10.0)
 
 
@@ -252,12 +247,9 @@ def test_criterion_5_risk_estimators():
         rng_rep = np.random.default_rng(50_000 + rep)
         storms = []
         for i in range(40):
-            pts = tuple(
-                TrackPoint(lon=-5.0, lat=55.0, time_index=t,
-                           vorticity=5.0 if rng_rep.uniform() < true_p else 1.0)
-                for t in range(10)
-            )
-            storms.append(StormTrack(id=f"s{i}", points=pts))
+            vorts = [5.0 if rng_rep.uniform() < true_p else 1.0 for t in range(10)]
+            storms.append(StormTrack(id=f"s{i}", lons=[-5.0] * 10, lats=[55.0] * 10,
+                                     vorticities=vorts))
         cat = Catalog(storms=tuple(storms), years_of_record=10.0)
         res = exceedance_prob(cat, anywhere, omega=3.0, n_boot=200, seed=rep)
         if res.ci[0] <= true_p <= res.ci[1]:

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormsim.catalog import (
+    CSV_FIELDS,
     EARTH_RADIUS_M,
+    MIN_TRACK_POINTS,
     STEP_SECONDS,
     Catalog,
     GridSpec,
     PoleDegeneracyError,
     StormTrack,
-    TrackPoint,
     UndefinedBearingError,
     build_grid,
     destination_point,
@@ -22,6 +25,7 @@ from stormsim.catalog import (
     normalize_lon,
     pacf,
 )
+from stormsim.engine import SyntheticTrack
 from stormsim.errors import ParseError, ValidationError
 
 
@@ -245,6 +249,85 @@ def test_load_requires_positive_vorticity(tmp_path):
         load_catalog(write_csv(tmp_path, body), years_of_record=1.0)
 
 
+def test_track_columns_must_have_one_length():
+    with pytest.raises(ValidationError, match="lengths differ"):
+        StormTrack(id="a", lons=[0.0] * 8, lats=[50.0] * 8, vorticities=[2.0] * 9)
+
+
+# Storms as (t0, points of (lon, lat, vorticity)) for the loader properties;
+# storm i is written as "s<i>", with repr floats as the simulate command does
+loader_storms = st.lists(
+    st.tuples(
+        st.integers(-10**6, 10**6),
+        st.lists(st.tuples(st.floats(-180.0, 180.0, exclude_max=True),
+                           st.floats(-90.0, 90.0, exclude_min=True, exclude_max=True),
+                           st.floats(0.0, 1e6, exclude_min=True)),
+                 min_size=MIN_TRACK_POINTS, max_size=12),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def catalog_rows(storms):
+    return [[f"s{i}", str(t0 + t), repr(lon), repr(lat), repr(vort)]
+            for i, (t0, points) in enumerate(storms) for t, (lon, lat, vort) in enumerate(points)]
+
+
+def csv_body(rows):
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(loader_storms, st.floats(0.01, 1e4), st.randoms(use_true_random=False))
+def test_load_round_trip(tmp_path_factory, storms, years, random):
+    rows = catalog_rows(storms)
+    random.shuffle(rows)  # the loader groups rows by storm and sorts them by time
+    header = f"# years_of_record: {years!r}\n" + HEADER
+    cat = load_catalog(write_csv(tmp_path_factory.getbasetemp(), csv_body(rows), "rt.csv", header))
+    assert cat.years_of_record == years
+    assert [s.id for s in cat.storms] == list(dict.fromkeys(r[0] for r in rows))
+    for track in cat.storms:
+        t0, points = storms[int(track.id[1:])]
+        lons, lats, vorts = (np.array(c) for c in zip(*points))
+        assert track.t0 == t0
+        assert np.array_equal(track.lons, [normalize_lon(x) for x in lons])
+        assert np.array_equal(track.lats, lats) and np.array_equal(track.vorticities, vorts)
+
+
+BAD_VALUES = {
+    "time_index": ["", "x", "nan", "2.5"],
+    "lon": ["", "x", "nan", "inf", "-inf", "1e400"],
+    "lat": ["", "x", "nan", "inf", "90.0", "-90.0", "-91.5"],
+    "vorticity": ["", "x", "nan", "inf", "0.0", "-0.0", "-2.5"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(loader_storms, st.data())
+def test_load_corrupted_catalog_raises_validation_error(tmp_path_factory, storms, data):
+    rows = catalog_rows(storms)
+    header = CSV_FIELDS
+    k = data.draw(st.integers(0, len(rows) - 1), label="row")
+    kind = data.draw(st.sampled_from(["value", "duplicate-time", "gapped-time", "missing-column"]))
+    if kind == "value":
+        column = data.draw(st.sampled_from(sorted(BAD_VALUES)), label="column")
+        rows[k][CSV_FIELDS.index(column)] = data.draw(st.sampled_from(BAD_VALUES[column]))
+    elif kind == "duplicate-time":
+        same_storm = k + 1 < len(rows) and rows[k + 1][0] == rows[k][0]
+        rows[k][1] = str(int(rows[k][1]) + (1 if same_storm else -1))
+    elif kind == "gapped-time":
+        last = max(j for j, r in enumerate(rows) if r[0] == rows[k][0])
+        rows[last][1] = str(int(rows[last][1]) + data.draw(st.integers(2, 10**6)))
+    else:
+        drop = data.draw(st.integers(0, len(CSV_FIELDS) - 1), label="column")
+        header = CSV_FIELDS[:drop] + CSV_FIELDS[drop + 1 :]
+        rows = [r[:drop] + r[drop + 1 :] for r in rows]
+    path = write_csv(tmp_path_factory.getbasetemp(), csv_body(rows), "bad.csv", ",".join(header) + "\n")
+    # ParseError is a ValidationError; any other exception fails the test
+    with pytest.raises(ValidationError):
+        load_catalog(path, years_of_record=1.0)
+
+
 # ----------------------------------------------------- derived kinematics
 
 def test_kinematics_consistency(toy_catalog):
@@ -268,18 +351,19 @@ def test_kinematics_derived_lazily_equal_eager(toy_catalog, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     loaded = load_catalog(path, years_of_record=1.0)
     for storm in loaded.storms:
-        assert storm.__dict__["_speeds"] is None and storm.__dict__["_bearings"] is None
-        speeds, bearings = _derive_kinematics(storm.points)
+        assert not {"speeds", "bearings", "_kinematics"} & set(storm.__dict__)
+        speeds, bearings = _derive_kinematics(storm.lons.tolist(), storm.lats.tolist())
         assert np.array_equal(storm.bearings, bearings)
         assert np.array_equal(storm.speeds, speeds)
 
 
 def test_given_kinematics_are_kept():
-    pts = tuple(TrackPoint(lon=-20.0 + i, lat=50.0, time_index=i, vorticity=3.0) for i in range(8))
-    speeds = np.arange(7.0)
-    storm = StormTrack(id="a", points=pts, speeds=speeds)
-    assert storm.speeds is speeds
-    assert np.array_equal(storm.bearings, _derive_kinematics(pts)[1])
+    lons, lats = [-20.0 + i for i in range(8)], [50.0] * 8
+    speeds, bearings = np.arange(7.0), np.zeros(7)
+    storm = SyntheticTrack(id="a", lons=lons, lats=lats, vorticities=[3.0] * 8,
+                           speeds=speeds, bearings=bearings)
+    assert storm.speeds is speeds and storm.bearings is bearings
+    assert not np.array_equal(storm.speeds, _derive_kinematics(lons, lats)[0])
 
 
 # ---------------------------------------------------------------- pacf

@@ -198,11 +198,22 @@ def _bundle_variants(text):
         "missing-grid": (json.dumps(no_grid), "'grid'"),
         "invalid-grid": (json.dumps({**doc, "grid": {**doc["grid"], "dlon": None}}), "'grid'"),
         "wrong-version": (json.dumps({**doc, "schema_version": 99}), "schema version 99"),
+        "empty-kernel-samples": (json.dumps(
+            {**doc, "genesis_location": {**doc["genesis_location"], "samples": []}}),
+            "'genesis_location'"),
+        "bandwidth-shape": (json.dumps(
+            {**doc, "genesis_location": {**doc["genesis_location"], "bandwidth": [[1.0]]}}),
+            "'genesis_location'"),
+        "no-hazard-bases": (json.dumps({**doc, "hazard": {**doc["hazard"], "bases": []}}),
+                            "'hazard'"),
+        "hazard-coef-count": (json.dumps({**doc, "hazard": {**doc["hazard"], "coef": [0.0]}}),
+                              "'hazard'"),
     }
 
 
-@pytest.mark.parametrize("variant", ["truncated", "not-json", "missing-grid",
-                                     "invalid-grid", "wrong-version"])
+@pytest.mark.parametrize("variant", ["truncated", "not-json", "missing-grid", "invalid-grid",
+                                     "wrong-version", "empty-kernel-samples", "bandwidth-shape",
+                                     "no-hazard-bases", "hazard-coef-count"])
 def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
     root, cfg_path = workdir
     text, named = _bundle_variants((root / "bundle.json").read_text())[variant]
@@ -213,3 +224,24 @@ def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
     err = capsys.readouterr().err
     assert err.startswith("error (simulate):") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column, value, named", [
+    ("lon", "nan", "longitude"),
+    ("lon", "inf", "longitude"),
+    ("vorticity", "inf", "vorticity"),
+])
+@pytest.mark.parametrize("command", ["risk", "diagnose"])
+def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, column, value, named):
+    root, _ = workdir
+    lines = (root / "catalog.csv").read_text().splitlines()
+    fields = lines[2].split(",")  # the first point of the first storm
+    fields[["storm_id", "time_index", "lon", "lat", "vorticity"].index(column)] = value
+    lines[2] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"paths": {"catalog": str(bad), "output_dir": str(tmp_path)}}))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"storm '{fields[0]}', line 3: {named}" in err and "Traceback" not in err

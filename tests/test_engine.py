@@ -9,6 +9,7 @@ from stormsim import evt, kde
 from stormsim.catalog import grid_cell
 from stormsim.engine import (
     FitConfig,
+    _point_in_polygon,
     _recenter_window,
     bundle_from_json,
     bundle_to_json,
@@ -259,6 +260,31 @@ def test_replay_reproduces_storm(fitted_bundle):
         assert again.sampler_tags == storm.sampler_tags
 
 
+def test_point_in_concave_polygon():
+    u_shape = [(0, 0), (10, 0), (10, 10), (7, 10), (7, 3), (3, 3), (3, 10), (0, 10)]
+    for p in [(1, 5), (8, 8), (5, 1), (9.9, 9.9)]:
+        assert _point_in_polygon(p, u_shape)
+    for p in [(5, 5), (5, 9), (11, 5), (-1, 5), (5, 11), (5, -1)]:  # (5, 5): in the notch
+        assert not _point_in_polygon(p, u_shape)
+
+
+def test_hazard_region_covering_the_domain_changes_nothing(fitted_bundle):
+    domain = [(-180.0, -90.0), (180.0, -90.0), (180.0, 90.0), (-180.0, 90.0)]
+    want, _ = simulate_catalog(fitted_bundle, n=40, seed=3)
+    got, _ = simulate_catalog(fitted_bundle, n=40, seed=3, hazard_region=domain)
+    for a, b in zip(got.storms, want.storms):
+        assert a.points == b.points and a.seed_token == b.seed_token
+
+
+def test_hazard_region_away_from_tracks_disables_the_hazard(fitted_bundle):
+    far = [(100.0, -10.0), (110.0, -10.0), (110.0, 0.0), (100.0, 0.0)]
+    cat, stats = simulate_catalog(fitted_bundle, n=40, seed=3, max_age=60, hazard_region=far)
+    assert "hazard" not in stats["causes"] and stats["causes"].get("max-age", 0) > 0
+    for s in cat.storms:
+        assert s.termination_cause in ("max-age", "geographic")
+        assert (len(s) == 60) == (s.termination_cause == "max-age")
+
+
 def test_tail_branch_activation_rate(fitted_bundle):
     cat, _ = simulate_catalog(fitted_bundle, n=150, seed=7)
     w_tracks = residual_tracks(fitted_bundle.preproc, cat)
@@ -326,7 +352,12 @@ def _first_cell(cell_set):
         d["direction"]["assignment"][_first_cell(d["direction"])])),
     ("preproc", lambda d: d["preproc"].__setitem__("lam", "x")),
     ("condex", lambda d: d["condex"].__setitem__("alpha", None)),
-], ids=["unknown-assignment", "assigned-model-missing", "string-number", "null-array"])
+    ("genesis_location", lambda d: d["genesis_location"].__setitem__("samples", [])),
+    ("genesis_location", lambda d: d["genesis_location"].__setitem__("bandwidth", [[1.0]])),
+    ("hazard", lambda d: d["hazard"].__setitem__("bases", [])),
+    ("hazard", lambda d: d["hazard"].__setitem__("coef", [0.0])),
+], ids=["unknown-assignment", "assigned-model-missing", "string-number", "null-array",
+        "empty-kernel-samples", "bandwidth-shape", "no-hazard-bases", "hazard-coef-count"])
 def test_bundle_from_json_rejects_mangled_values(fitted_bundle, field, mangle):
     import json
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from stormsim.catalog import StormTrack, TrackPoint
+from stormsim.catalog import StormTrack
 from stormsim.errors import SeparationError, ValidationError
 from stormsim.gam import (
     DEFAULT_COVARIATES,
@@ -21,11 +21,12 @@ from stormsim.gam import (
 
 def make_storm(sid, n, vort=None, lon0=-30.0, lat0=50.0):
     vort = vort if vort is not None else [2.0 + 0.1 * i for i in range(n)]
-    pts = tuple(
-        TrackPoint(lon=lon0 + 0.5 * i, lat=lat0 + 0.1 * i, time_index=i, vorticity=vort[i])
-        for i in range(n)
+    return StormTrack(
+        id=sid,
+        lons=[lon0 + 0.5 * i for i in range(n)],
+        lats=[lat0 + 0.1 * i for i in range(n)],
+        vorticities=vort[:n],
     )
-    return StormTrack(id=sid, points=pts)
 
 
 def design_from_xy(x, y):
@@ -72,6 +73,24 @@ def test_rows_exclude_eight_point_storms(caplog):
 def test_rows_censored_storm_has_no_event():
     cols, y = storm_rows([make_storm("a", 10)], terminal=[False])
     assert y.size == 3 and y.sum() == 0.0
+
+
+def test_rows_match_per_point_reference(toy_catalog):
+    storms = toy_catalog.storms
+    terminal = [i % 3 != 0 for i in range(len(storms))]
+    want = {name: [] for name in DEFAULT_COVARIATES}
+    want_y = []
+    for storm, is_terminal in zip(storms, terminal):
+        pts = storm.points
+        for i in range(7, len(pts) if len(pts) >= 9 else 0):
+            values = {"vorticity": pts[i].vorticity, "drop": pts[i - 1].vorticity - pts[i].vorticity,
+                      "age": float(i + 1), "lon": pts[i].lon, "lat": pts[i].lat}
+            for name in DEFAULT_COVARIATES:
+                want[name].append(values[name])
+            want_y.append(1.0 if is_terminal and i == len(pts) - 1 else 0.0)
+    cols, y = storm_rows(storms, terminal=terminal)
+    assert y.tolist() == want_y
+    assert {name: c.tolist() for name, c in cols.items()} == want
 
 
 # ---------------------------------------------------------------- fitting

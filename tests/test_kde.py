@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from stormsim.errors import SingularBandwidthError, UnsupportedConditioningError
+from stormsim.errors import SingularBandwidthError, UnsupportedConditioningError, ValidationError
 from stormsim.kde import (
     KdeModel,
     _partition,
@@ -83,6 +83,17 @@ def test_scale_zero_raises():
 def test_degenerate_covariance_raises():
     with pytest.raises(SingularBandwidthError):
         fit_kde(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))
+
+
+@pytest.mark.parametrize("samples, bandwidth, circular, named", [
+    (np.empty((0, 2)), np.eye(2), (), "samples"),
+    (np.zeros(3), np.eye(1), (), "samples"),
+    (np.zeros((3, 2)), np.eye(3), (), "bandwidth"),
+    (np.zeros((3, 2)), np.eye(2), (2,), "circular_dims"),
+])
+def test_model_rejects_inconsistent_shapes(samples, bandwidth, circular, named):
+    with pytest.raises(ValidationError, match=named):
+        KdeModel(samples=samples, bandwidth=bandwidth, circular_dims=circular)
 
 
 def test_single_sample_needs_cov():

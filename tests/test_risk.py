@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormsim.catalog import Catalog, GridSpec, StormTrack, TrackPoint, build_grid
+from stormsim.catalog import Catalog, GridSpec, StormTrack, build_grid, grid_cell
 from stormsim.errors import UndefinedRegionError, ValidationError
 from stormsim.risk import (
     Region,
@@ -22,11 +22,7 @@ from stormsim.risk import (
 
 
 def storm_from_arrays(sid, lons, lats, vorts):
-    pts = tuple(
-        TrackPoint(lon=lo, lat=la, time_index=i, vorticity=v)
-        for i, (lo, la, v) in enumerate(zip(lons, lats, vorts))
-    )
-    return StormTrack(id=sid, points=pts)
+    return StormTrack(id=sid, lons=lons, lats=lats, vorticities=vorts)
 
 
 def random_catalog(rng, n_storms=25, years=10.0):
@@ -228,6 +224,22 @@ def test_spatial_density_sums_to_one(toy_catalog):
         assert sum(r[3] for r in rows) == pytest.approx(1.0, abs=1e-12)
     rows_w = spatial_density(toy_catalog, grid, area_weighted=True)
     assert sum(r[3] for r in rows_w) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spatial_density_matches_per_point_reference(toy_catalog):
+    grid = build_grid(toy_catalog, dlon=4.0, dlat=3.0)
+    for subset, pick in (("all", slice(None)), ("genesis", slice(0, 1)), ("lysis", slice(-1, None))):
+        counts = {}
+        for storm in toy_catalog.storms:
+            for p in storm.points[pick]:
+                cell = grid_cell((p.lon, p.lat), grid)
+                counts[cell] = counts.get(cell, 0) + 1
+        for weighted in (False, True):
+            w = {c: n / math.cos(math.radians(grid.cell_center(c)[1])) if weighted else float(n)
+                 for c, n in counts.items()}
+            total = sum(w.values())
+            want = [(c, *grid.cell_center(c), w[c] / total) for c in sorted(w)]
+            assert spatial_density(toy_catalog, grid, subset=subset, area_weighted=weighted) == want
 
 
 def test_spatial_density_genesis_lysis_partition(toy_catalog):
