@@ -51,6 +51,13 @@ class CondExFit:
     boundary: np.ndarray  # (k,) bool: alpha at +-1
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValidationError(f"Markov order k must be at least 1, got {self.k}")
+        for name in ("alpha", "beta", "boundary"):
+            if np.shape(getattr(self, name)) != (self.k,):
+                raise ValidationError(
+                    f"{name} must hold k={self.k} values, got shape {np.shape(getattr(self, name))}"
+                )
         if np.any(np.abs(self.alpha) > 1.0 + 1e-12) or np.any((self.beta < -1e-12) | (self.beta > 1.0 + 1e-12)):
             raise ValidationError("alpha/beta outside their boxes")
 

@@ -138,6 +138,12 @@ class ModelBundle:
     u_laplace: float = 0.0
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        if self.condex.k != self.k:
+            raise ValidationError(
+                f"conditional-extremes order {self.condex.k} differs from the bundle's k={self.k}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticTrack(StormTrack):

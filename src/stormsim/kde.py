@@ -325,6 +325,160 @@ def cdf_1d(model: KdeModel, z):
     return ndtr(u).mean(axis=-1)
 
 
+# In double precision ndtr(u) is exactly 1.0 for u >= 39 and exactly 0.0 for
+# u <= -39, and exp(-u*u/2) is exactly 0.0 there.
+_EXACT_U = 39.0
+# Table nodes per kernel standard deviation: septic pieces at this spacing
+# reproduce the exact log CDF to about 1e-10 (1.0e-10 and 1.0e-11 on the W
+# marginals of the 400- and 1,200-storm fixtures).
+_NODES_PER_H = 4.0
+# Kernel terms evaluated per block of nodes while building a table.
+_TABLE_BLOCK = 1 << 16
+# c_k for k = 4..7 of a septic from its t-derivatives 0..3 at t = 1, once
+# the k < 4 terms (fixed by the derivatives at t = 0) are subtracted: the
+# exact inverse of [[perm(k, r) for k in 4..7] for r in 0..3]
+_PERM_LOW = np.array([[math.perm(k, r) for k in range(4)] for r in range(4)], dtype=float)
+_SOLVE_HIGH = np.array([
+    [35.0, -15.0, 5.0 / 2.0, -1.0 / 6.0],
+    [-84.0, 39.0, -7.0, 1.0 / 2.0],
+    [70.0, -34.0, 13.0 / 2.0, -1.0 / 2.0],
+    [-20.0, 10.0, -2.0, 1.0 / 6.0],
+])
+_POW_SCALE = np.array([1.0, 1.0, 0.5, 1.0 / 6.0])  # 1 / r!
+
+
+def _log_derivatives(q: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
+    """log q and its first three derivatives, from q and q', q'', q''' (rows of d)."""
+    g, a, b = d[0] / q, d[1] / q, d[2] / q
+    return [np.log(q), g, a - g * g, b - 3.0 * a * g + 2.0 * g**3]
+
+
+def _septic_pieces(x: np.ndarray, derivs: list[np.ndarray]) -> np.ndarray:
+    """Per interval, the coefficients in t = (z - x_i) / (x_{i+1} - x_i) of the
+    polynomial matching the value and three derivatives at both ends."""
+    dx = np.diff(x)
+    scale = np.stack([dx**r for r in range(4)], axis=1)
+    left = np.stack([dv[:-1] for dv in derivs], axis=1) * scale
+    right = np.stack([dv[1:] for dv in derivs], axis=1) * scale
+    low = left * _POW_SCALE
+    high = (right - low @ _PERM_LOW.T) @ _SOLVE_HIGH.T
+    return np.hstack([low, high])
+
+
+def _horner(c: list, t: float) -> tuple[float, float]:
+    """Value and derivative at t of the polynomial sum_k c[k] t^k."""
+    value, slope = c[-1], 0.0
+    for ck in reversed(c[:-1]):
+        slope = slope * t + value
+        value = value * t + ck
+    return value, slope
+
+
+@dataclass(frozen=True)
+class CdfTable:
+    """log F and log(1 - F) of a 1-D kernel CDF on the nodes ``x``, as
+    septic Hermite pieces.
+
+    At every node the kernel CDF, its complement, the density and the
+    density's first two derivatives are summed exactly; piece i of each table
+    holds the power-series coefficients, in t = (z - x[i]) / (x[i+1] - x[i]),
+    of the polynomial that matches the value and first three derivatives of
+    the log at both ends.
+    """
+
+    x: np.ndarray
+    log_cdf: np.ndarray  # exact log F at the nodes
+    log_sf: np.ndarray  # exact log(1 - F) at the nodes
+    cdf_pieces: np.ndarray  # (len(x) - 1, 8)
+    sf_pieces: np.ndarray
+
+    def _pieces(self, upper: bool) -> np.ndarray:
+        return self.sf_pieces if upper else self.cdf_pieces
+
+    def __call__(self, z: np.ndarray, upper: bool = False) -> np.ndarray:
+        """log F(z) (log(1 - F(z)) when `upper`) for z inside [x[0], x[-1]]."""
+        i = np.clip(np.searchsorted(self.x, z, side="right") - 1, 0, self.x.size - 2)
+        t = (z - self.x[i]) / (self.x[i + 1] - self.x[i])
+        c = self._pieces(upper)[i]
+        out = c[:, 7]
+        for k in range(6, -1, -1):
+            out = out * t + c[:, k]
+        return out
+
+    def invert(self, target: float, upper: bool = False) -> tuple[float, float] | None:
+        """(z, slope): the table's z with log F(z) = target (log(1 - F(z))
+        when `upper`) and the table's d/dz there; None below the first node."""
+        nodes = -self.log_sf if upper else self.log_cdf
+        goal = -target if upper else target
+        if goal < nodes[0]:
+            return None
+        i = min(int(np.searchsorted(nodes, goal, side="right")) - 1, self.x.size - 2)
+        lo, dx = float(self.x[i]), float(self.x[i + 1] - self.x[i])
+        c = self._pieces(upper)[i].tolist()
+        span = nodes[i + 1] - nodes[i]
+        t = min(max((goal - nodes[i]) / span, 0.0), 1.0) if span > 0.0 else 0.0
+        for _ in range(50):  # Newton on the piece, kept inside it
+            value, slope = _horner(c, t)
+            if slope == 0.0:
+                break
+            t_new = min(max(t - (value - target) / slope, 0.0), 1.0)
+            done = abs(t_new - t) <= 1e-15
+            t = t_new
+            if done:
+                break
+        return lo + t * dx, _horner(c, t)[1] / dx
+
+
+def cdf_table(model: KdeModel, lo: float, hi: float) -> CdfTable:
+    """Tabulate log F and log(1 - F) of a 1-D kernel model on [lo, hi].
+
+    Nodes are evenly spaced, about a quarter of a kernel standard deviation
+    apart.  At each node the kernel sums run over the sorted samples whose
+    terms are neither exactly 0 nor exactly 1 (found with ``searchsorted``);
+    the terms that are exactly 1 are added as a count.  Below the sample
+    median F is summed and 1 - F taken as its complement, above it 1 - F is
+    summed, so each log is exact where its argument is small.  Nodes are
+    processed in blocks so no temporary exceeds about 64k kernel terms.
+    """
+    if model.d != 1 or model.circular_dims:
+        raise ValidationError("cdf_table requires a 1-D non-circular model")
+    if not lo < hi:
+        raise ValidationError(f"table range [{lo}, {hi}] is empty")
+    h = math.sqrt(model.bandwidth[0, 0])
+    s = np.sort(model.samples[:, 0])
+    n = s.size
+    x = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / h * _NODES_PER_H) + 1))
+    below = x <= s[n // 2]
+    mass = np.empty(x.size)  # n F below the median, n (1 - F) above
+    kern = np.empty((3, x.size))  # sums of phi, u phi and u^2 phi
+    step = max(1, _TABLE_BLOCK // n)
+    for i in range(0, x.size, step):
+        xs = x[i : i + step]
+        a = int(np.searchsorted(s, xs[0] - _EXACT_U * h))
+        b = int(np.searchsorted(s, xs[-1] + _EXACT_U * h, side="right"))
+        u = (xs[:, None] - s[a:b]) / h
+        phi = np.exp(-0.5 * u * u)
+        uphi = u * phi
+        kern[0, i : i + step] = phi.sum(axis=1)
+        kern[1, i : i + step] = uphi.sum(axis=1)
+        kern[2, i : i + step] = (uphi * u).sum(axis=1)
+        low = below[i : i + step]
+        mass[i : i + step] = (
+            ndtr(np.where(low[:, None], u, -u)).sum(axis=1) + np.where(low, a, n - b)
+        )
+    mass /= n
+    cdf = np.where(below, mass, 1.0 - mass)
+    sf = np.where(below, 1.0 - mass, mass)
+    c = 1.0 / (n * h * math.sqrt(TWO_PI))
+    dens = np.stack([kern[0] * c, -kern[1] * c / h, (kern[2] - kern[0]) * c / (h * h)])
+    cdf_d = _log_derivatives(cdf, dens)
+    sf_d = _log_derivatives(sf, -dens)
+    return CdfTable(
+        x=x, log_cdf=cdf_d[0], log_sf=sf_d[0],
+        cdf_pieces=_septic_pieces(x, cdf_d), sf_pieces=_septic_pieces(x, sf_d),
+    )
+
+
 def sample_joint(model: KdeModel, rng: np.random.Generator, size: int | None = None):
     """Draw from the kernel density: uniform tuple, then N(z_i, H); circular dims wrapped."""
     m = 1 if size is None else int(size)

@@ -59,7 +59,8 @@ def boxcox(omega, lam: float):
     omega = np.asarray(omega, dtype=float)
     if abs(lam) < LAMBDA_ZERO:
         return np.log(omega)
-    return (omega**lam - 1.0) / lam
+    # expm1 keeps full relative precision as lambda approaches the log branch
+    return np.expm1(lam * np.log(omega)) / lam
 
 
 def _raw_design(lon, lat, bearing, speed, quadratic: bool) -> np.ndarray:
@@ -250,12 +251,13 @@ def from_residual(w, nu, fit: PreprocFit):
             raise InvalidInverseError("Box-Cox inverse overflows")
         omega = np.exp(y)
     else:
-        t = 1.0 + fit.lam * y
-        if np.any(t <= 0.0):
+        ly = fit.lam * y
+        if np.any(ly <= -1.0):
             raise InvalidInverseError(
-                f"inverse outside Box-Cox domain (1 + lambda*y = {t.min():.3g} <= 0)"
+                f"inverse outside Box-Cox domain (1 + lambda*y = {1.0 + ly.min():.3g} <= 0)"
             )
-        omega = t ** (1.0 / fit.lam)
+        with np.errstate(over="ignore"):
+            omega = np.exp(np.log1p(ly) / fit.lam)
     if not np.all(np.isfinite(omega)):
         raise InvalidInverseError("Box-Cox inverse is not finite")
     return float(omega[0]) if np.isscalar(w) or np.asarray(w).ndim == 0 else omega

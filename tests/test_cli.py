@@ -191,6 +191,7 @@ def test_bad_config_json_exit_2(tmp_path, capsys):
 
 def _bundle_variants(text):
     doc = json.loads(text)
+    hazard = doc["hazard"]
     no_grid = {k: v for k, v in doc.items() if k != "grid"}
     return {
         "truncated": (text[: len(text) // 2], "not valid JSON"),
@@ -208,12 +209,31 @@ def _bundle_variants(text):
                             "'hazard'"),
         "hazard-coef-count": (json.dumps({**doc, "hazard": {**doc["hazard"], "coef": [0.0]}}),
                               "'hazard'"),
+        "hazard-constraint-shape": (json.dumps(
+            {**doc, "hazard": {**hazard, "constraints": [[[1.0]]] + hazard["constraints"][1:]}}),
+            "'hazard'"),
+        "hazard-slice-width": (json.dumps(
+            {**doc, "hazard": {**hazard, "slices": [[1, 2]] + hazard["slices"][1:]}}),
+            "'hazard'"),
+        "hazard-too-few-knots": (json.dumps(
+            {**doc, "hazard": {**hazard, "bases": [{**hazard["bases"][0], "knots": [0.0, 1.0]}]
+                                                + hazard["bases"][1:]}}),
+            "'hazard'"),
+        "condex-alpha-empty": (json.dumps({**doc, "condex": {**doc["condex"], "alpha": []}}),
+                               "'condex'"),
+        "condex-beta-length": (json.dumps({**doc, "condex": {**doc["condex"], "beta": [0.1]}}),
+                               "'condex'"),
+        "condex-order-zero": (json.dumps({**doc, "condex": {**doc["condex"], "k": 0}}),
+                              "'condex'"),
     }
 
 
 @pytest.mark.parametrize("variant", ["truncated", "not-json", "missing-grid", "invalid-grid",
                                      "wrong-version", "empty-kernel-samples", "bandwidth-shape",
-                                     "no-hazard-bases", "hazard-coef-count"])
+                                     "no-hazard-bases", "hazard-coef-count",
+                                     "hazard-constraint-shape", "hazard-slice-width",
+                                     "hazard-too-few-knots", "condex-alpha-empty",
+                                     "condex-beta-length", "condex-order-zero"])
 def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
     root, cfg_path = workdir
     text, named = _bundle_variants((root / "bundle.json").read_text())[variant]

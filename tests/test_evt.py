@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import genpareto, multivariate_normal, norm
 
 from stormsim.errors import InsufficientTailError, ValidationError
+from stormsim.kde import cdf_1d
 from stormsim.evt import (
     GpdFit,
     MixtureMarginal,
@@ -187,6 +188,54 @@ def test_from_laplace_extreme_value_saturates_at_endpoint(mixture):
     assert mixture.gpd.shape < 0
     z = from_laplace(700.0, mixture)
     assert z == pytest.approx(mixture.gpd.upper_endpoint, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def fixture_w():
+    """Pooled W values and the fitted marginal of the 400-storm fixture
+    make_catalog(400, seed=101) (the benchmark's fit workload)."""
+    from stormsim.engine import FitConfig, fit_all, laplace_tracks
+    from stormsim.toydata import make_catalog
+
+    catalog = make_catalog(400, seed=101)
+    bundle = fit_all(catalog, FitConfig(gcv_points=2, gcv_sweeps=0, allow_quadratic_preproc=False))
+    w_tracks, _ = laplace_tracks(bundle, catalog)
+    return np.concatenate([w[np.isfinite(w)] for w in w_tracks]), bundle.marginal
+
+
+def exact_laplace(z, m):
+    """The O(n) per value reference: log(2F) / -log(2(1 - F)) from cdf_1d."""
+    F = np.concatenate([cdf_1d(m.body, chunk) for chunk in np.array_split(z, max(1, z.size // 200))])
+    with np.errstate(divide="ignore"):
+        return np.clip(np.where(F < 0.5, np.log(2.0 * F), -np.log(2.0 * (1.0 - F))), -700.0, 700.0)
+
+
+def test_laplace_table_matches_exact_kernel_sums(fixture_w):
+    w, m = fixture_w
+    body = np.unique(w[w <= m.gpd.threshold])
+    h = math.sqrt(m.body.bandwidth[0, 0])
+    rng = np.random.default_rng(0)
+    z = np.sort(np.concatenate([
+        rng.choice(body, 1500, replace=False),
+        np.linspace(body.min() - 12.0 * h, m.gpd.threshold, 500),  # beyond the table's start too
+    ]))
+    assert np.max(np.abs(to_laplace(z, m) - exact_laplace(z, m))) <= 1e-9
+    assert np.all(np.diff(to_laplace(np.unique(w), m)) > 0.0)
+
+
+def test_laplace_round_trip_on_fixture(fixture_w):
+    w, m = fixture_w
+    sample = np.quantile(w, np.linspace(0.0, 1.0, 101))
+    back = from_laplace(to_laplace(sample, m), m)
+    np.testing.assert_allclose(back, sample, rtol=0.0, atol=1e-8)
+
+
+def test_body_quantile_inverts_exact_cdf(fixture_w):
+    _, m = fixture_w
+    for s in (-600.0, -60.0, -40.0, -5.0, -0.3, 0.0, 0.4, 1.5):
+        assert s < to_laplace(m.gpd.threshold, m)  # a body value
+        z = from_laplace(s, m)
+        assert exact_laplace(np.array([z]), m)[0] == pytest.approx(s, abs=1e-9 * max(1.0, abs(s)))
 
 
 # ---------------------------------------------------------------- diagnostics

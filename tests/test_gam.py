@@ -149,6 +149,48 @@ def test_gcv_selected_is_grid_minimum():
         assert fit.gcv_score <= refit.gcv_score + 1e-9
 
 
+# Smoothing parameters and GCV score chosen by an exhaustive coordinate-wise
+# scan (a full IRLS fit at every grid value; 21-point grid on [1e-4, 1e4],
+# 2 sweeps) on the hazard design of make_catalog(n, seed=101): the grid
+# index of each smooth's lambda, and the score.
+GRID_SCAN_OPTIMUM = {
+    400: ([5, 0, 10, 10, 13], 0.2797547943684869),
+    1200: ([10, 0, 3, 10, 8], 0.2844279160120647),
+}
+
+
+@pytest.mark.parametrize("n_storms", sorted(GRID_SCAN_OPTIMUM))
+def test_fixed_weight_scan_finds_grid_scan_optimum(n_storms, monkeypatch):
+    import stormsim.gam as gam_mod
+    from stormsim.toydata import make_catalog
+
+    calls = []
+    irls = gam_mod._irls
+    monkeypatch.setattr(gam_mod, "_irls", lambda *a, **k: calls.append(1) or irls(*a, **k))
+    design = build_design(make_catalog(n_storms, seed=101).storms)
+    grid = np.logspace(-4.0, 4.0, 21)
+    fit = fit_gam(design, gcv_grid=grid, sweeps=2)
+    index, score = GRID_SCAN_OPTIMUM[n_storms]
+    np.testing.assert_array_equal(fit.smoothing, grid[index])
+    assert fit.gcv_score <= score * (1.0 + 1e-9)
+    assert len(calls) <= 1 + 3 * 2 * len(design.bases)
+
+
+def test_full_fits_per_gam_fit_bounded(monkeypatch):
+    import stormsim.gam as gam_mod
+
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3.0, 3.0, 4000)
+    y = (rng.uniform(size=x.size) < expit(np.sin(x))).astype(float)
+    calls = []
+    irls = gam_mod._irls
+    monkeypatch.setattr(gam_mod, "_irls", lambda *a, **k: calls.append(1) or irls(*a, **k))
+    for sweeps in (1, 3):
+        calls.clear()
+        fit_gam(design_from_xy(x, y), gcv_grid=np.logspace(-3, 3, 13), sweeps=sweeps)
+        assert 1 < len(calls) <= 1 + 3 * sweeps
+
+
 def test_single_class_outcomes_rejected():
     x = np.linspace(0, 1, 500)
     with pytest.raises(ValidationError, match="single-class"):

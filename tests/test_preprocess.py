@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from stormsim.errors import InvalidInverseError, ValidationError
 from stormsim.preprocess import (
     DEFAULT_WINDOW,
+    LAMBDA_ZERO,
     PreprocFit,
+    _mu_sigma_point,
     boxcox,
     fit_preprocess,
     from_residual,
@@ -194,3 +198,47 @@ def test_scalar_path_matches_array_path_bit_for_bit(lam, quadratic):
                 from_residual(w, nu, fit)
             continue
         assert from_residual(w, nu, fit) == want
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.one_of(st.floats(-2.0, 3.0), st.floats(-1e-6, 1e-6)),
+    log_omega=st.floats(-30.0, 30.0),
+    lon=st.floats(-60.0, 20.0),
+    lat=st.floats(40.0, 80.0),
+    bearing=st.floats(-math.pi, math.pi),
+    speed=st.floats(0.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property(lam, log_omega, lon, lat, bearing, speed, seed):
+    """from_residual(to_residual(omega)) == omega to within the rounding the
+    Box-Cox map's conditioning allows.
+
+    Near the domain edge t = omega**lambda -> 0 (omega -> 0 for lambda > 0,
+    omega -> inf for lambda < 0), a rounding error of order eps * |y| in the
+    Box-Cox value y moves omega by that much relative to t; there the inverse
+    may also find 1 + lambda*y <= 0 and raise, but only when t is within
+    rounding of 0.
+    """
+    rng = np.random.default_rng(seed)
+    col_mean, col_scale = rng.normal(size=6), rng.uniform(0.5, 3.0, 6)
+    col_mean[0], col_scale[0] = 0.0, 1.0
+    fit = PreprocFit(lam=lam, mu_coef=rng.normal(size=6), sigma_coef=0.3 * rng.normal(size=6),
+                     quadratic=False, col_mean=col_mean, col_scale=col_scale,
+                     window=DEFAULT_WINDOW, loglik=0.0, n=0, w_mean=0.0, w_sd=1.0)
+    nu = (lon, lat, bearing, speed)
+    omega = math.exp(log_omega)
+    mu = float(_mu_sigma_point(fit, *nu)[0])
+    y = float(boxcox(omega, lam))
+    t = 1.0 if abs(lam) < LAMBDA_ZERO else math.exp(lam * log_omega)
+    w = to_residual(omega, nu, fit)
+    try:
+        back = from_residual(w, nu, fit)
+    except InvalidInverseError:
+        assert t <= 16 * EPS * (1.0 + abs(lam) * (1.0 + abs(mu) + abs(y)))
+        return
+    bound = 16 * EPS * ((1.0 + abs(mu) + abs(y)) / t + 1.0 + abs(log_omega))
+    assert abs(back / omega - 1.0) <= bound
