@@ -15,12 +15,24 @@ Simulation walks genesis -> propagate -> vorticity -> termination.  Direction
 windows are handled on an unwrapped (continuous) angle scale anchored at the
 most recent value, which is how the training tuples are built as well; the
 kernel's +-2pi replication absorbs the remaining one-period ambiguity.
+
+A storm is written once, as a generator (`_storm` over `_propagate` and
+`_vorticity`) that yields each conditional kernel draw it needs and receives
+the chosen tuple.  The batch loop `_lockstep` keeps up to BATCH_STORMS such
+storms in flight, advances each to its next draw, and serves each round's
+draws grouped by (cell model, conditioning pattern) with one grouped pick
+(`kde.pick_tuples`).  Every storm owns its random stream, keyed by (seed,
+slot, attempt), and makes the same calls on it in the same order whatever
+its batch, so a catalog is byte-identical for any batch or worker count;
+`simulate_storm`, `propagate_step`, `vorticity_step` and `replay_storm` are
+runs of the same generators in a batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import math
@@ -45,12 +57,7 @@ from .catalog import (
     great_circle_distance,
     wrap_angle,
 )
-from .errors import (
-    FitError,
-    InvalidInverseError,
-    UnsupportedConditioningError,
-    ValidationError,
-)
+from .errors import FitError, InvalidInverseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -162,14 +169,14 @@ class SyntheticTrack(StormTrack):
 
 def _recenter_window(values, anchor: int) -> np.ndarray:
     """Unwrap an angle window to a continuous path with values[anchor] in [-pi, pi)."""
-    rep = np.asarray(values, dtype=float)
-    out = np.empty_like(rep)
+    rep = np.asarray(values, dtype=float).tolist()  # Python floats round alike, faster
+    out = rep[:]
     out[anchor] = wrap_angle(rep[anchor])
     for i in range(anchor - 1, -1, -1):
         out[i] = out[i + 1] - wrap_angle(rep[i + 1] - rep[i])
-    for i in range(anchor + 1, rep.size):
+    for i in range(anchor + 1, len(rep)):
         out[i] = out[i - 1] + wrap_angle(rep[i] - rep[i - 1])
-    return out
+    return np.array(out)
 
 
 def _pooled_cov(rows: np.ndarray) -> np.ndarray:
@@ -407,17 +414,79 @@ def _point_in_polygon(p, polygon) -> bool:
 
 
 DRAW_FALLBACKS = {"count": 0}  # diagnostic counter, reset freely
+# Storms one simulating process keeps in flight at once (see _lockstep)
+BATCH_STORMS = 512
 
 
-def _draw(model, given, rng, target):
-    """Conditional draw with a marginal fallback when the history has wandered
-    outside the cell kernel's numerical support (rare, after tail excursions)."""
-    try:
-        return kde.sample_conditional(model, given, rng, target_dims=target)
-    except UnsupportedConditioningError:
-        DRAW_FALLBACKS["count"] += 1
+def _draw(model, key, values, rng):
+    """Conditional draw of `key` = (given dims, target dims) at `values`.
+
+    Yields the request (sampler, values, rng) and receives the tuple pick
+    from the batch loop.  A pick of None means the history has wandered
+    outside the cell kernel's numerical support (rare, after tail
+    excursions); the draw then falls back to the marginal of the targets.
+    Returns the draw: a float for one target dim, else a (t,) array.
+    """
+    s = kde.sampler(model, key)
+    picked = yield s, values, rng
+    if picked is None:
         log.debug("conditioning outside kernel support; falling back to marginal draw")
-        return kde.sample_conditional(model, {}, rng, target_dims=target)
+        draw = kde.sample_conditional(model, {}, rng, target_dims=s.target)
+        return float(draw[0]) if len(s.target) == 1 else draw
+    if len(s.target) == 1:
+        return kde.draw_scalar(model, s, values, picked, rng)
+    return kde.draw_picked(model, s, values, picked, rng)[0]
+
+
+def _lockstep(storms) -> list:
+    """Run draw-requesting generators in lock-step batches.
+
+    Every generator in flight (at most BATCH_STORMS; a finished one is
+    replaced by the next of `storms`) is resumed until it requests a conditional draw
+    (see :func:`_draw`).  The requests of a round are grouped by sampler,
+    that is by (cell model, conditioning pattern), and each group's tuples
+    are picked at once by :func:`kde.pick_tuples`.  Each generator owns its
+    random stream and makes the calls a lone run makes, in the same order,
+    so what it returns does not depend on the batch it ran in.
+
+    Returns [return value, draw fallbacks] per generator, in input order.
+    """
+    queue = iter(storms)
+    results: list = []
+    pending: list = []  # (index, generator, pick to send)
+
+    def start(gen):
+        pending.append((len(results), gen, None))
+        results.append([None, 0])
+
+    for gen in itertools.islice(queue, BATCH_STORMS):
+        start(gen)
+    while pending:
+        groups: dict = {}
+        for i, gen, picked in pending:  # grows while it is walked
+            try:
+                s, values, rng = gen.send(picked)
+            except StopIteration as stop:
+                results[i][0] = stop.value
+                nxt = next(queue, None)
+                if nxt is not None:
+                    start(nxt)
+                continue
+            groups.setdefault(s, []).append((i, gen, values, rng))
+        pending = []
+        for s, group in groups.items():
+            picks = kde.pick_tuples(s, [(values, rng) for _, _, values, rng in group])
+            for (i, gen, _, _), picked in zip(group, picks):
+                if picked is None:
+                    results[i][1] += 1
+                    DRAW_FALLBACKS["count"] += 1
+                pending.append((i, gen, picked))
+    return results
+
+
+def _run_one(gen):
+    """A lone run: the batch loop on a batch of one."""
+    return _lockstep([gen])[0][0]
 
 
 def simulate_genesis(bundle: ModelBundle, rng: np.random.Generator):
@@ -443,45 +512,35 @@ def simulate_genesis(bundle: ModelBundle, rng: np.random.Generator):
     return None
 
 
-def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_omega=None):
-    """Draw (theta_j, v_j) at `pos` and step to the next position.
-
-    Conditions the direction on its recent (unwrapped) window and the speed
-    on its own lags plus the new direction, within the current cell's models.
-    A destination in an inactive or out-of-domain cell (or at a pole) is
-    retried up to 10 times; returns None to signal geographic termination.
-
-    At genesis (empty histories) the pair is redrawn from the genesis-cell
-    kernel conditional on `genesis_omega` instead.
-    """
+def _propagate(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_omega=None):
+    """Generator form of :func:`propagate_step`."""
     k = bundle.k
     cell = grid_cell(pos, bundle.grid)
     n_lags = min(k, len(theta_hist))
     if n_lags:
         dir_model = bundle.direction.lookup(cell)
         spd_model = bundle.speed.lookup(cell)
+        lags = tuple(range(k - n_lags, k))
         theta_window = _recenter_window(np.asarray(theta_hist[-n_lags:]), anchor=n_lags - 1)
-        theta_given = {k - n_lags + i: theta_window[i] for i in range(n_lags)}
-        speed_lags = {k - n_lags + i: speed_hist[-n_lags:][i] for i in range(n_lags)}
+        speed_lags = [*speed_hist[-n_lags:]]
     else:
         gen_model = bundle.genesis_conditions.lookup(cell)
 
     for _ in range(PROPAGATION_ATTEMPTS):
         if n_lags:
-            theta = wrap_angle(float(_draw(dir_model, theta_given, rng, (k,))[0]))
-            given = dict(speed_lags)
-            given[k] = theta
-            v = float(_draw(spd_model, given, rng, (k + 1,))[0])
+            theta = wrap_angle((yield from _draw(dir_model, (lags, (k,)), theta_window, rng)))
+            given = np.array(speed_lags + [theta])
+            v = yield from _draw(spd_model, (lags + (k,), (k + 1,)), given, rng)
         else:
-            given = {2: genesis_omega}
-            pair = _draw(gen_model, given, rng, (0, 1))
+            pair = yield from _draw(gen_model, ((2,), (0, 1)), np.array([genesis_omega]), rng)
             v, theta = float(pair[0]), wrap_angle(float(pair[1]))
         if v <= 0.0:
             for _ in range(POSITIVITY_ATTEMPTS):
                 if n_lags:
-                    v = float(_draw(spd_model, given, rng, (k + 1,))[0])
+                    v = yield from _draw(spd_model, (lags + (k,), (k + 1,)), given, rng)
                 else:
-                    v = float(_draw(gen_model, {1: theta, 2: genesis_omega}, rng, (0,))[0])
+                    given = np.array([theta, genesis_omega])
+                    v = yield from _draw(gen_model, ((1, 2), (0,)), given, rng)
                 if v > 0.0:
                     break
             else:
@@ -496,26 +555,23 @@ def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesi
     return None
 
 
-def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
-                   laplace: dict | None = None):
-    """Draw omega at `pos` given the recent vorticity history.
+def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_omega=None):
+    """Draw (theta_j, v_j) at `pos` and step to the next position.
 
-    Uses the cell's conditional kernel when the recent preprocessed values sit
-    below the tail threshold (or the point is outside the preprocessing
-    window); otherwise steps the Laplace-scale tail chain at the effective
-    order (the run of consecutive excesses on the W scale, equivalent to the
-    Laplace scale by monotonicity) and back-transforms.  An invalid Box-Cox
-    inversion triggers one redraw and then the body branch.  Draws below the
-    smallest observed training vorticity (unobservable under the tracking
-    threshold that defines the input data) are reflected back across it,
-    the mirror boundary correction for Gaussian kernels.
+    Conditions the direction on its recent (unwrapped) window and the speed
+    on its own lags plus the new direction, within the current cell's models.
+    A destination in an inactive or out-of-domain cell (or at a pole) is
+    retried up to 10 times; returns None to signal geographic termination.
 
-    `laplace` maps positions in `w_hist` to their Laplace values; the step
-    adds the ones it maps, so a caller that keeps one dict per storm maps
-    each W value once (the transform is elementwise, so this is exact).
-
-    Returns (omega, w, tag) where w is NaN outside the window.
+    At genesis (empty histories) the pair is redrawn from the genesis-cell
+    kernel conditional on `genesis_omega` instead.
     """
+    return _run_one(_propagate(bundle, pos, theta_hist, speed_hist, rng, genesis_omega))
+
+
+def _vorticity(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
+               laplace: dict | None = None):
+    """Generator form of :func:`vorticity_step`."""
     k = bundle.k
     cell = grid_cell(pos, bundle.grid)
     model = bundle.vorticity_body.lookup(cell)
@@ -552,13 +608,13 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
 
     if omega is None:
         n_lags = min(k, len(omega_hist))
-        given = {k - n_lags + i: omega_hist[-n_lags:][i] for i in range(n_lags)}
-        given[k] = theta_prev
+        given = np.array([*omega_hist[-n_lags:], theta_prev])
+        key = (tuple(range(k - n_lags, k + 1)), (k + 1,))
         # vorticity below the smallest observed value is unobservable under
         # the tracking threshold that defines the data; reflect kernel mass
         # that falls below the floor back across it (mirror boundary
         # correction), so the chain neither leaks nor piles up there
-        omega = float(_draw(model, given, rng, (k + 1,))[0])
+        omega = yield from _draw(model, key, given, rng)
         if omega < floor:
             omega = 2.0 * floor - omega
         tag = "body"
@@ -567,14 +623,32 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
     return omega, w_val, tag
 
 
-def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
-                   max_age: int = 800, hazard_region=None):
-    """Simulate one storm; returns (track fields, cause) or (None, reason).
+def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
+                   laplace: dict | None = None):
+    """Draw omega at `pos` given the recent vorticity history.
 
-    The hazard applies from age 8 (and only once the track has entered
-    `hazard_region`, when given); geographic termination before 8 points
-    discards the storm.
+    Uses the cell's conditional kernel when the recent preprocessed values sit
+    below the tail threshold (or the point is outside the preprocessing
+    window); otherwise steps the Laplace-scale tail chain at the effective
+    order (the run of consecutive excesses on the W scale, equivalent to the
+    Laplace scale by monotonicity) and back-transforms.  An invalid Box-Cox
+    inversion triggers one redraw and then the body branch.  Draws below the
+    smallest observed training vorticity (unobservable under the tracking
+    threshold that defines the input data) are reflected back across it,
+    the mirror boundary correction for Gaussian kernels.
+
+    `laplace` maps positions in `w_hist` to their Laplace values; the step
+    adds the ones it maps, so a caller that keeps one dict per storm maps
+    each W value once (the transform is elementwise, so this is exact).
+
+    Returns (omega, w, tag) where w is NaN outside the window.
     """
+    return _run_one(_vorticity(bundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
+                               laplace))
+
+
+def _storm(bundle: ModelBundle, rng: np.random.Generator, max_age: int, hazard_region):
+    """Generator form of :func:`simulate_storm`."""
     gen = simulate_genesis(bundle, rng)
     if gen is None:
         return None, "genesis-failure"
@@ -612,12 +686,13 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
             break
 
         if j == 0:
-            step = propagate_step(bundle, (lons[0], lats[0]), [], [], rng, genesis_omega=omega0)
+            step = yield from _propagate(bundle, (lons[0], lats[0]), [], [], rng,
+                                         genesis_omega=omega0)
             if step is not None:
                 theta0_new, v0_new, nxt = step
                 thetas[0], speeds[0] = theta0_new, v0_new
         else:
-            step = propagate_step(bundle, (lons[j], lats[j]), thetas, speeds, rng)
+            step = yield from _propagate(bundle, (lons[j], lats[j]), thetas, speeds, rng)
             if step is not None:
                 theta, v, nxt = step
                 thetas.append(theta)
@@ -626,7 +701,7 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
             cause = "geographic"
             break
 
-        omega, w_val, tag = vorticity_step(
+        omega, w_val, tag = yield from _vorticity(
             bundle, nxt, omegas, ws, thetas[j], speeds[j], rng, laplace
         )
         lons.append(nxt[0])
@@ -651,6 +726,19 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
     )
 
 
+def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
+                   max_age: int = 800, hazard_region=None):
+    """Simulate one storm; returns (track fields, cause) or (None, reason).
+
+    The hazard applies from age 8 (and only once the track has entered
+    `hazard_region`, when given); geographic termination before 8 points
+    discards the storm.  This is a lone run of the generator that
+    :func:`simulate_catalog` runs in lock-step batches: the storm is the
+    same either way.
+    """
+    return _run_one(_storm(bundle, rng, max_age, hazard_region))
+
+
 def _build_track(sid: str, fields: dict, token: str) -> SyntheticTrack:
     return SyntheticTrack(
         id=sid,
@@ -669,15 +757,20 @@ def _slot_rng(seed: int, slot: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(slot, attempt)))
 
 
-def _simulate_slot(args):
-    bundle, seed, slot, max_age, hazard_region = args
+def _slot(bundle, seed, slot, max_age, hazard_region):
+    """Generator: the first accepted attempt of a slot, as (track, cause, attempt)."""
     for attempt in range(1000):
         rng = _slot_rng(seed, slot, attempt)
-        fields, cause = simulate_storm(bundle, rng, max_age=max_age, hazard_region=hazard_region)
+        fields, cause = yield from _storm(bundle, rng, max_age, hazard_region)
         if fields is not None:
             token = f"{seed}-{slot}-{attempt}"
             return _build_track(f"sim{slot:06d}", fields, token), cause, attempt
     raise FitError(f"slot {slot}: no valid storm in 1000 attempts")
+
+
+def _simulate_slots(bundle, seed, slots, max_age, hazard_region) -> list:
+    """[(track, cause, attempt), draw fallbacks] for each slot, in order."""
+    return _lockstep(_slot(bundle, seed, slot, max_age, hazard_region) for slot in slots)
 
 
 _WORKER_STATE: dict = {}
@@ -687,9 +780,9 @@ def _init_worker(bundle, seed, max_age, hazard_region):
     _WORKER_STATE["args"] = (bundle, seed, max_age, hazard_region)
 
 
-def _worker_run(slot):
+def _worker_run(slots):
     bundle, seed, max_age, hazard_region = _WORKER_STATE["args"]
-    return _simulate_slot((bundle, seed, slot, max_age, hazard_region))
+    return _simulate_slots(bundle, seed, slots, max_age, hazard_region)
 
 
 def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
@@ -698,33 +791,41 @@ def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
 
     Each accepted-storm slot draws from its own deterministic stream family
     (seed, slot, attempt), so results do not depend on the worker count.
-    Returns (catalog, stats) where stats holds the termination-cause
-    histogram and rejection counts.
+    A process simulates its slots in lock-step batches (see
+    :func:`_lockstep`); with `workers` > 1 each pool worker takes contiguous
+    ranges of slots, two per worker.  Returns (catalog, stats) where stats
+    holds the termination-cause histogram, the rejected attempts and the
+    draws that fell back to a marginal draw (summed in slot order; also
+    added to :data:`DRAW_FALLBACKS`).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 storms, got {n}")
-    results = []
     if workers > 1:
+        size = -(-n // (2 * workers))
+        ranges = [range(start, min(start + size, n)) for start in range(0, n, size)]
         with Pool(processes=workers, initializer=_init_worker,
                   initargs=(bundle, seed, max_age, hazard_region)) as pool:
-            results = pool.map(_worker_run, range(n), chunksize=max(1, n // (workers * 8)))
+            results = [r for part in pool.map(_worker_run, ranges, chunksize=1) for r in part]
+        DRAW_FALLBACKS["count"] += sum(f for _, f in results)
     else:
-        for slot in range(n):
-            results.append(_simulate_slot((bundle, seed, slot, max_age, hazard_region)))
+        results = _simulate_slots(bundle, seed, range(n), max_age, hazard_region)
 
-    tracks = tuple(r[0] for r in results)
+    tracks = tuple(r[0][0] for r in results)
     causes: dict[str, int] = {}
-    rejected = 0
-    for track, cause, attempt in results:
+    rejected = fallbacks = 0
+    for (track, cause, attempt), slot_fallbacks in results:
         causes[cause] = causes.get(cause, 0) + 1
         rejected += attempt
+        fallbacks += slot_fallbacks
     catalog = Catalog(storms=tracks, years_of_record=n / bundle.storms_per_year)
-    stats = {"causes": causes, "rejected_attempts": rejected, "n": n, "seed": seed}
+    stats = {"causes": causes, "rejected_attempts": rejected, "draw_fallbacks": fallbacks,
+             "n": n, "seed": seed}
     return catalog, stats
 
 
 def replay_storm(bundle: ModelBundle, token: str, max_age: int = 800, hazard_region=None):
-    """Re-simulate the storm identified by a 'seed-slot-attempt' token."""
+    """Re-simulate the storm identified by a 'seed-slot-attempt' token
+    (a lone run of that attempt)."""
     seed, slot, attempt = (int(x) for x in token.split("-"))
     rng = _slot_rng(seed, slot, attempt)
     fields, cause = simulate_storm(bundle, rng, max_age=max_age, hazard_region=hazard_region)

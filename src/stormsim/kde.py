@@ -32,6 +32,14 @@ from its whitened query to the bounding box of the whitened block proves
 that every one of its log weights lies more than 800 below the best original
 one: ``exp`` of such a relative log weight is exactly 0.0, so the skipped
 tuples add exactly nothing to the cumulative weights either way.
+
+:func:`pick_tuples` serves a group of requests on one sampler at once (the
+batch simulation groups the pending draws of its storms by cell model and
+pattern): it computes the group's distances, exps and row-wise cumulative
+sums as (g, n) arrays, with the arithmetic of a lone request row by row, so
+that a pick never depends on its group.  The whitening product stays one
+vector-matrix product per request, because a stacked product takes another
+BLAS kernel and rounds differently.
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ _SKIP_LOG = 800.0
 _SKIP_REL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Sampler:
     """Cached conditional-draw data for one (given, target) pattern of a model."""
 
@@ -533,8 +541,12 @@ def _wrap_circular(arr: np.ndarray, circular_dims, dims) -> None:
             arr[..., pos] = (arr[..., pos] + math.pi) % TWO_PI - math.pi
 
 
-def _sampler(model: KdeModel, key) -> _Sampler:
-    """The cached sampler for `key` = (sorted given dims, target dims or None)."""
+def sampler(model: KdeModel, key) -> _Sampler:
+    """The sampler for `key` = (sorted given dims, target dims or None), built
+    on first use and cached on the model."""
+    s = model._samplers.get(key)
+    if s is not None:
+        return s
     given_dims, target_dims = key
     dims = _as_dims(model, given_dims)
     target = _target_dims(model, dims, target_dims)
@@ -554,67 +566,164 @@ def _sampler(model: KdeModel, key) -> _Sampler:
         lo, hi = white.min(axis=1).tolist(), white.max(axis=1).tolist()
         if shift is not None:
             white_shift = (shift[list(dims)] @ whiten).tolist()
-    sampler = _Sampler(
+    s = _Sampler(
         given=dims, target=target, part=part, shift=shift, whiten=whiten, white=white,
         log_norm=0.5 * (part.logdet_cc + len(dims) * _LOG_2PI),
         lo=lo, hi=hi, white_shift=white_shift,
     )
-    model._samplers[key] = sampler
-    return sampler
+    model._samplers[key] = s
+    return s
 
 
-def _box_sqdist(z, lo, hi) -> float:
-    """Squared distance from point z to the box [lo, hi] (all Python floats)."""
-    out = 0.0
-    for zj, a, b in zip(z, lo, hi):
-        gap = a - zj if zj < a else (zj - b if zj > b else 0.0)
-        out += gap * gap
+def _half_sqdist(white: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Minus the log kernel (up to `log_norm`) of every tuple of the whitened
+    block (c, n) at each whitened query row of z (g, c): a (g, n) array.
+
+    The squares are summed over the columns in order, one query at a time
+    (a sum over axis 0 of its (c, n) squares) or column by column for all
+    queries at once, whichever takes fewer array operations; the two round
+    alike."""
+    c = white.shape[0]
+    if len(z) < c:
+        out = np.empty((len(z), white.shape[1]))
+        for zi, row in zip(z, out):
+            sq = white - zi[:, None]
+            sq *= sq
+            np.add.reduce(sq, axis=0, out=row)
+        return out
+    out = white[0] - z[:, :1]
+    out *= out
+    for j in range(1, c):
+        sq = white[j] - z[:, j : j + 1]
+        sq *= sq
+        out += sq
     return out
 
 
-def _half_sqdist(s: _Sampler, z: np.ndarray) -> np.ndarray:
-    """Minus the log kernel (up to `log_norm`) of every tuple at whitened query z."""
-    diff = s.white - z[:, None]
-    diff *= diff
-    return diff.sum(axis=0)
+# Requests whose distances are held at once in a grouped pick; bounds its
+# temporaries to a few (64, n) arrays.
+_GROUP_ROWS = 64
 
 
-def _pick_tuples(model: KdeModel, s: _Sampler, values: np.ndarray, rng, m: int):
-    """Tuple rows and replica blocks (0 original, 1 at +shift, 2 at -shift)
-    selected with probability proportional to their kernel weights; the
-    blocks are None when every pick is an original tuple."""
-    n = model.n
-    z = values @ s.whiten
-    dist = [_half_sqdist(s, z)]
-    best = float(dist[0].min())
-    blocks = [0]
-    if s.shift is not None:
-        if not any(s.white_shift):
-            # no circular conditioning dim: the replicas weigh like the originals
-            dist += [dist[0], dist[0]]
-            blocks += [1, 2]
+def _replicas(s: _Sampler, z: list, best: float, dist: np.ndarray) -> list:
+    """(block, distances) of the replica blocks a request at whitened query z
+    must weigh: none when the bounding-box distance of a replica's query
+    proves all its log weights more than _SKIP_LOG below the best original."""
+    if s.shift is None:
+        return []
+    if not any(s.white_shift):
+        # no circular conditioning dim: the replicas weigh like the originals
+        return [(1, dist), (2, dist)]
+    kept = []
+    for block, sign in ((1, -1.0), (2, 1.0)):
+        zr = []
+        bound = 0.0  # squared distance from zr to the block's bounding box
+        for zj, w, a, b in zip(z, s.white_shift, s.lo, s.hi):
+            zj = zj + sign * w
+            zr.append(zj)
+            gap = a - zj if zj < a else (zj - b if zj > b else 0.0)
+            bound += gap * gap
+        if not bound - best > _SKIP_LOG + _SKIP_REL * (bound + best):  # NaN: kept
+            kept.append((block, _half_sqdist(s.white, np.array([zr]))[0]))
+    return kept
+
+
+def pick_tuples(s: _Sampler, requests, m: int = 1) -> list:
+    """Tuple picks for a group of conditional-draw requests on one sampler.
+
+    `requests` holds (values of the sampler's given dims, random generator)
+    pairs.  Each request gets (rows, blocks): `m` tuple rows and their
+    replica blocks (0 original, 1 at +shift, 2 at -shift; None when every
+    pick is an original tuple; scalars when m is 1), selected with
+    probability proportional to the kernel weights at its values, or None
+    when every weight underflows (the conditioning lies outside the kernel's
+    numerical support), in which case its generator is left untouched.
+
+    The original block's distances, their exp and their cumulative sums are
+    computed for the whole group at once, row by row with the arithmetic of
+    a lone request: a request's picks and random numbers do not depend on
+    the group it is drawn in.  Requests that keep a replica block (near the
+    +-pi seam) are completed one by one.
+    """
+    n = s.white.shape[1]
+    out = []
+    for first in range(0, len(requests), _GROUP_ROWS):
+        chunk = requests[first : first + _GROUP_ROWS]
+        # per request, as a lone vector-matrix product: a stacked product
+        # takes another BLAS kernel and rounds differently
+        z = np.array([values @ s.whiten for values, _ in chunk])
+        dist = _half_sqdist(s.white, z)
+        best = np.minimum.reduce(dist, axis=1)
+        low = best.tolist()
+        extra = [_replicas(s, zi, bi, di) for zi, bi, di in zip(z.tolist(), low, dist)]
+        lone = [i for i, e in enumerate(extra) if not e]
+        if len(lone) == len(chunk):
+            np.subtract(best[:, None], dist, out=dist)
+            cum = dist
         else:
-            zl = z.tolist()
-            best_original = best
-            for block, sign in ((1, -1.0), (2, 1.0)):
-                zr = [a + sign * b for a, b in zip(zl, s.white_shift)]
-                bound = _box_sqdist(zr, s.lo, s.hi)
-                if bound - best_original > _SKIP_LOG + _SKIP_REL * (bound + best_original):
-                    continue
-                dist.append(_half_sqdist(s, np.array(zr)))
-                blocks.append(block)
-                best = min(best, float(dist[-1].min()))
-    if -best - s.log_norm < _LOG_TINY:
-        raise UnsupportedConditioningError(
-            f"conditioning values {values.tolist()} outside kernel support"
-        )
-    cum = np.exp(best - (dist[0] if len(dist) == 1 else np.concatenate(dist))).cumsum()
-    pos = cum.searchsorted(rng.random(m) * cum[-1], side="right")
-    pos = np.minimum(pos, cum.size - 1)  # NaN conditioning values sort past the end
-    if len(blocks) == 1:
-        return pos, None
-    block, row = np.divmod(pos, n)
-    return row, np.asarray(blocks)[block]
+            cum = best[lone][:, None] - dist[lone]
+        np.exp(cum, out=cum)
+        cums = dict(zip(lone, cum.cumsum(axis=1)))
+        for i, (_, rng) in enumerate(chunk):
+            e = extra[i]
+            if e:
+                low[i] = min([low[i]] + [float(d.min()) for _, d in e])
+            if -low[i] - s.log_norm < _LOG_TINY:
+                out.append(None)
+                continue
+            c = cums.get(i)
+            if c is None:
+                c = np.exp(low[i] - np.concatenate([dist[i]] + [d for _, d in e])).cumsum()
+            # NaN conditioning values sort past the end, hence the clipping
+            if m == 1:  # rng.random() is the double that rng.random(1) holds
+                pos = min(int(c.searchsorted(rng.random() * float(c[-1]), side="right")),
+                          c.size - 1)
+            else:
+                pos = np.minimum(c.searchsorted(rng.random(m) * c[-1], side="right"), c.size - 1)
+            if not e:
+                out.append((pos, None))
+            else:
+                block, row = divmod(pos, n)
+                out.append((row, np.array([0] + [b for b, _ in e])[block]))
+    return out
+
+
+def draw_scalar(model: KdeModel, s: _Sampler, values, picked, rng) -> float:
+    """The draw of :func:`draw_picked` for one pick of one target dim given
+    conditioning values, bit for bit, as a float: each product is the BLAS
+    dot product that the general path's matrix products make for this shape
+    (a 1 x 1 product is a plain product)."""
+    row, block = picked
+    z = model.samples[row]
+    if block:
+        z = z + (1.0 if block == 1 else -1.0) * s.shift
+    x = float(z[s.target[0]] + (values - z.take(s.given)).dot(s.part.reg[0]))
+    x += rng.standard_normal() * float(s.part.chol_sigma[0, 0])
+    if s.target[0] in model.circular_dims:
+        x = (x + math.pi) % TWO_PI - math.pi
+    return x
+
+
+def draw_picked(model: KdeModel, s: _Sampler, values, picked, rng) -> np.ndarray:
+    """(m, t) draws from the per-tuple Gaussian conditionals of the picked
+    (rows, blocks) at conditioning `values`; circular targets wrapped."""
+    row, block = np.atleast_1d(picked[0]), picked[1]
+    rows = model.samples[row]
+    if block is not None:
+        block = np.atleast_1d(block)
+        # replica rows, with the replicated set's arithmetic
+        for b, sign in ((1, 1.0), (2, -1.0)):
+            sel = block == b
+            if sel.any():
+                rows[sel] = rows[sel] + sign * s.shift
+    # fancy indexing, as in the replicated set's arithmetic: the layout of the
+    # matrix product's operand picks the BLAS kernel, and so the rounding
+    mu = rows[:, s.target]
+    if s.given:
+        mu = mu + (values[None, :] - rows[:, s.given]) @ s.part.reg.T
+    draws = mu + rng.standard_normal((len(row), len(s.target))) @ s.part.chol_sigma.T
+    _wrap_circular(draws, model.circular_dims, s.target)
+    return draws
 
 
 def sample_conditional(
@@ -633,38 +742,30 @@ def sample_conditional(
 
     Circular target dims are wrapped back to [-pi, pi).  The data each
     (given, target) pattern needs are built on first use and cached on the
-    model (see the module docstring).
+    model (see the module docstring).  A draw is a group of one for
+    :func:`pick_tuples` followed by :func:`draw_picked`.
 
     Raises:
         UnsupportedConditioningError: all tuple weights underflow.
     """
-    key = (tuple(sorted(given)), None if target_dims is None else tuple(target_dims))
-    s = model._samplers.get(key)
-    if s is None:
-        s = _sampler(model, key)
+    s = sampler(model, (tuple(sorted(given)), None if target_dims is None else tuple(target_dims)))
     m = 1 if size is None else int(size)
+    values = None
     if s.given:
         values = np.array([float(given[i]) for i in s.given])
-        row, block = _pick_tuples(model, s, values, rng, m)
+        picked = pick_tuples(s, [(values, rng)], m)[0]
+        if picked is None:
+            raise UnsupportedConditioningError(
+                f"conditioning values {values.tolist()} outside kernel support"
+            )
+    elif s.shift is None:
+        picked = rng.integers(0, model.n, size=m), None
     else:
-        if s.shift is None:
-            row, block = rng.integers(0, model.n, size=m), None
-        else:
-            block, row = np.divmod(rng.integers(0, 3 * model.n, size=m), model.n)
-    rows = model.samples[row]
-    if block is not None:
-        # replica rows, with the replicated set's arithmetic
-        for b, sign in ((1, 1.0), (2, -1.0)):
-            sel = block == b
-            if sel.any():
-                rows[sel] = rows[sel] + sign * s.shift
-    # fancy indexing, as in the replicated set's arithmetic: the layout of the
-    # matrix product's operand picks the BLAS kernel, and so the rounding
-    mu = rows[:, s.target]
-    if s.given:
-        mu = mu + (values[None, :] - rows[:, s.given]) @ s.part.reg.T
-    draws = mu + rng.standard_normal((m, len(s.target))) @ s.part.chol_sigma.T
-    _wrap_circular(draws, model.circular_dims, s.target)
+        block, row = np.divmod(rng.integers(0, 3 * model.n, size=m), model.n)
+        picked = row, block
+    if size is None and len(s.target) == 1 and s.given:
+        return np.array([draw_scalar(model, s, values, picked, rng)])
+    draws = draw_picked(model, s, values, picked, rng)
     return draws[0] if size is None else draws
 
 

@@ -49,6 +49,8 @@ class PreprocFit:
 
 
 def in_window(lon, lat, window) -> np.ndarray:
+    if isinstance(lon, float) and isinstance(lat, float):  # one point, same comparisons
+        return window[0] < lon < window[1] and window[2] < lat < window[3]
     lon = np.asarray(lon, dtype=float)
     lat = np.asarray(lat, dtype=float)
     lon_min, lon_max, lat_min, lat_max = window

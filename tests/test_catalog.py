@@ -24,6 +24,7 @@ from stormsim.catalog import (
     load_catalog,
     normalize_lon,
     pacf,
+    wrap_angle,
 )
 from stormsim.engine import SyntheticTrack
 from stormsim.errors import ParseError, ValidationError
@@ -135,6 +136,45 @@ def test_destination_round_trip():
         d = great_circle_distance(p, q)
         assert d == pytest.approx(speed * STEP_SECONDS, rel=1e-6)
         assert initial_bearing(p, q) == pytest.approx(bearing, abs=1e-6)
+
+
+def _polar_distance(p, speed, bearing) -> float:
+    """Angle (rad) from the exact destination to the nearest pole, by rotating
+    the unit vector of p in the plane of the great circle (no lat/lon trig)."""
+    lon, lat = math.radians(p[0]), math.radians(p[1])
+    delta = speed * STEP_SECONDS / EARTH_RADIUS_M
+    up = np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
+    east = np.array([-math.sin(lon), math.cos(lon), 0.0])
+    north = np.cross(up, east)
+    q = math.cos(delta) * up + math.sin(delta) * (math.cos(bearing) * north + math.sin(bearing) * east)
+    return math.hypot(q[0], q[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lon=st.one_of(st.floats(170.0, 179.999), st.floats(-180.0, -170.0), st.floats(-180.0, 179.999)),
+    lat=st.one_of(st.floats(84.0, 89.99), st.floats(-89.99, -84.0), st.floats(-80.0, 80.0)),
+    speed=st.floats(0.5, 40.0),
+    bearing=st.floats(-math.pi, math.pi),
+    aim=st.sampled_from([None, "north", "south"]),
+)
+def test_destination_round_trip_property(lon, lat, speed, bearing, aim):
+    # across the dateline and within a few degrees of the poles; `aim`
+    # sends the step exactly onto a pole, the one place where the
+    # destination has no longitude
+    p = (lon, lat)
+    if aim is not None:
+        bearing = 0.0 if aim == "north" else math.pi
+        arc = 90.0 - lat if aim == "north" else 90.0 + lat
+        speed = math.radians(arc) * EARTH_RADIUS_M / STEP_SECONDS
+    try:
+        q = destination_point(p, speed, bearing)
+    except PoleDegeneracyError:
+        assert _polar_distance(p, speed, bearing) < 1e-6
+        return
+    assert -180.0 <= q[0] < 180.0 and -90.0 < q[1] < 90.0
+    assert great_circle_distance(p, q) == pytest.approx(speed * STEP_SECONDS, rel=1e-6)
+    assert abs(wrap_angle(initial_bearing(p, q) - bearing)) < 1e-6
 
 
 def test_destination_pole_degeneracy():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from stormsim import evt, kde
+from stormsim import engine, evt, gam, kde
 from stormsim.catalog import grid_cell
 from stormsim.engine import (
     FitConfig,
@@ -245,6 +245,18 @@ def test_worker_count_invariance(fitted_bundle):
         assert sa.seed_token == sb.seed_token
 
 
+def test_draw_fallbacks_independent_of_workers(toy_catalog):
+    # a narrow direction kernel: histories often leave its numerical support
+    bundle = fit_all(toy_catalog, fast_config(bw_direction=0.05))
+    counts = []
+    for workers in (1, 2):
+        before = engine.DRAW_FALLBACKS["count"]
+        _, stats = simulate_catalog(bundle, n=30, seed=1, workers=workers)
+        assert engine.DRAW_FALLBACKS["count"] - before == stats["draw_fallbacks"]
+        counts.append(stats["draw_fallbacks"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_rerun_determinism_and_years(fitted_bundle):
     a, _ = simulate_catalog(fitted_bundle, n=15, seed=5)
     b, _ = simulate_catalog(fitted_bundle, n=15, seed=5)
@@ -252,12 +264,45 @@ def test_rerun_determinism_and_years(fitted_bundle):
     assert a.years_of_record == pytest.approx(15 / fitted_bundle.storms_per_year)
 
 
-def test_replay_reproduces_storm(fitted_bundle):
-    cat, _ = simulate_catalog(fitted_bundle, n=6, seed=6)
-    for storm in cat.storms[:3]:
-        again = replay_storm(fitted_bundle, storm.seed_token)
-        assert again.points == storm.points
-        assert again.sampler_tags == storm.sampler_tags
+def test_replay_reproduces_storm(fitted_bundle, toy_catalog, monkeypatch):
+    # oracle for the lock-step batches: every storm of a catalog equals its
+    # replay, a batch of one; the wide speed kernel and sparse grid make the
+    # catalog hit a tail step, a positivity redraw, a propagation retry and
+    # a rejected attempt
+    events = {"positivity": 0, "retry": 0}
+    eventful = fit_all(toy_catalog, fast_config(bw_speed=3.0, grid_min_count=4))
+    speed_models = set(map(id, eventful.speed.models.values()))
+    draw, step = engine._draw, engine.destination_point
+
+    def counting_draw(model, key, values, rng):
+        x = yield from draw(model, key, values, rng)
+        if (id(model) in speed_models or key == ((1, 2), (0,))) and x <= 0.0:
+            events["positivity"] += 1
+        return x
+
+    def counting_step(*args, **kwargs):
+        q = step(*args, **kwargs)
+        events["retry"] += grid_cell(q, eventful.grid) not in eventful.grid.active_cells
+        return q
+
+    monkeypatch.setattr(engine, "_draw", counting_draw)
+    monkeypatch.setattr(engine, "destination_point", counting_step)
+    for bundle, n, seed in [(fitted_bundle, 6, 6), (eventful, 50, 3)]:
+        cat, stats = simulate_catalog(bundle, n=n, seed=seed)
+        for storm in cat.storms:
+            again = replay_storm(bundle, storm.seed_token)
+            assert again.points == storm.points
+            assert again.sampler_tags == storm.sampler_tags
+            assert np.array_equal(again.speeds, storm.speeds)
+            assert np.array_equal(again.bearings, storm.bearings)
+    assert events["positivity"] > 0 and events["retry"] > 0
+    assert stats["rejected_attempts"] > 0
+    assert any("tail" in s.sampler_tags for s in cat.storms)
+    pooled, pooled_stats = simulate_catalog(eventful, n=n, seed=seed, workers=2)
+    assert pooled_stats == stats
+    for a, b in zip(pooled.storms, cat.storms):
+        assert a.points == b.points and a.sampler_tags == b.sampler_tags
+        assert np.array_equal(a.speeds, b.speeds) and np.array_equal(a.bearings, b.bearings)
 
 
 def test_point_in_concave_polygon():
@@ -283,6 +328,38 @@ def test_hazard_region_away_from_tracks_disables_the_hazard(fitted_bundle):
     for s in cat.storms:
         assert s.termination_cause in ("max-age", "geographic")
         assert (len(s) == 60) == (s.termination_cause == "max-age")
+
+
+def test_hazard_region_entered_part_way(fitted_bundle, monkeypatch):
+    # toy storms start near 45W and drift east: most enter this region only
+    # after genesis.  Per-point reference: the hazard is evaluated at exactly
+    # the points from max(age 8, first point inside the region) to the last
+    # one, so no storm ends by the hazard before it has entered
+    region = [(-30.0, 30.0), (40.0, 30.0), (40.0, 80.0), (-30.0, 80.0)]
+    evaluated: dict = {}
+    hazard = gam.hazard
+
+    def recording(fit, covariates, age):
+        evaluated.setdefault((covariates["lon"], covariates["lat"]), []).append(age)
+        return hazard(fit, covariates, age)
+
+    monkeypatch.setattr(gam, "hazard", recording)
+    cat, stats = simulate_catalog(fitted_bundle, n=40, seed=11, max_age=80,
+                                  hazard_region=region)
+    assert stats["causes"].get("hazard", 0) >= 20
+    late = 0
+    for storm in cat.storms:
+        inside = [_point_in_polygon((p.lon, p.lat), region) for p in storm.points]
+        first = inside.index(True) if any(inside) else len(storm)
+        late += first > 0
+        want = list(range(max(gam.MIN_AGE - 1, first), len(storm)))
+        got = [j for j, p in enumerate(storm.points) if j + 1 in evaluated.get((p.lon, p.lat), ())]
+        assert got == want
+        if storm.termination_cause == "hazard":
+            assert len(storm) - 1 >= first
+        again = replay_storm(fitted_bundle, storm.seed_token, max_age=80, hazard_region=region)
+        assert again.points == storm.points and again.sampler_tags == storm.sampler_tags
+    assert late >= 30
 
 
 def test_tail_branch_activation_rate(fitted_bundle):

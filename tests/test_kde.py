@@ -17,8 +17,10 @@ from stormsim.kde import (
     conditional_weights,
     density,
     fit_kde,
+    pick_tuples,
     sample_conditional,
     sample_joint,
+    sampler,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -450,6 +452,24 @@ def test_engine_patterns_match_oracle(seed, kind, scale):
         for far in (False, False, True):
             values = conditioning_values(rng, model, dims, far and bool(dims))
             assert_same_draws(model, values, target, int(rng.integers(2**32)))
+        if dims:
+            # a group (across the per-query / per-column distance layouts and
+            # the 64-request chunks) picks what its requests pick alone
+            s = sampler(model, (dims, target))
+            size = int(rng.choice([2, len(dims), 5, 70]))
+            values = [np.array([v[i] for i in dims]) for v in
+                      (conditioning_values(rng, model, dims, rng.random() < 0.2) for _ in range(size))]
+            seeds = rng.integers(2**32, size=size)
+            grouped_rngs = [np.random.default_rng(x) for x in seeds]
+            lone_rngs = [np.random.default_rng(x) for x in seeds]
+            grouped = pick_tuples(s, list(zip(values, grouped_rngs)))
+            for v, r, got in zip(values, lone_rngs, grouped):
+                want = pick_tuples(s, [(v, r)])[0]
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            for a, b in zip(grouped_rngs, lone_rngs):
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_out_of_support_raises_in_both():
