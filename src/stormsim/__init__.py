@@ -30,7 +30,7 @@ from .engine import (
     simulate_catalog,
     simulate_storm,
 )
-from .risk import Region, RiskResult, bootstrap_ci, exceedance_prob, return_level, return_period
+from .risk import Region, RiskResult, exceedance_prob, return_level, return_period
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "build_grid", "destination_point", "great_circle_distance", "grid_cell",
     "initial_bearing", "load_catalog", "pacf",
     "fit_all", "load_bundle", "save_bundle", "simulate_catalog", "simulate_storm",
-    "bootstrap_ci", "exceedance_prob", "return_level", "return_period",
+    "exceedance_prob", "return_level", "return_period",
     "catalog", "condex", "engine", "errors", "evt", "gam", "kde",
     "preprocess", "risk", "toydata",
 ]

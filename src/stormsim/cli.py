@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, evt, gam, risk
-from .catalog import build_grid, load_catalog, pacf
+from .catalog import MIN_TRACK_POINTS, build_grid, load_catalog, pacf
 from .errors import FitError, StormError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -47,6 +48,51 @@ DEFAULT_CONFIG = {
 }
 
 
+# What a key whose default is null holds when it is set.
+_SET_VALUES = {
+    "paths.catalog": "", "paths.simulated": "", "years_of_record": 1.0,
+    "simulation.seed": 0, "simulation.hazard_region": [(0.0, 0.0)],
+}
+
+
+def _check_config(value, default, key: str) -> None:
+    """Raise ValidationError naming `key` unless `value` has the JSON shape of
+    its default: an object holds every key of the default object (a region
+    may omit its name), a list holds items shaped like the default's first
+    item, a tuple stands for a list of exactly its items, a float for any
+    finite number and an int for an integer.  A key whose default is
+    null may also hold the shape that `_SET_VALUES` gives it."""
+    if default is None:
+        if value is None:
+            return
+        default = _SET_VALUES[key]
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValidationError(f"config {key} must be an object, got {value!r:.40}")
+        for k, sub in default.items():
+            if k in value:
+                _check_config(value[k], sub, f"{key}.{k}".lstrip("."))
+            elif k != "name":
+                raise ValidationError(f"config {key} is missing {k!r}")
+    elif isinstance(default, (list, tuple)):
+        if not isinstance(value, list) or isinstance(default, tuple) and len(value) != len(default):
+            size = f" of {len(default)} items" if isinstance(default, tuple) else ""
+            raise ValidationError(f"config {key} must be a list{size}, got {value!r:.40}")
+        for i, item in enumerate(value):
+            _check_config(item, default[i] if isinstance(default, tuple) else default[0],
+                          f"{key}[{i}]")
+    elif isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValidationError(f"config {key} must be a string, got {value!r:.40}")
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        if isinstance(default, float) and isinstance(value, float):
+            ok = math.isfinite(value)
+        if not ok:
+            kind = "an integer" if isinstance(default, int) else "a finite number"
+            raise ValidationError(f"config {key} must be {kind}, got {value!r:.40}")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -67,7 +113,14 @@ def load_config(path: str | None) -> dict:
         user = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    return _merge(DEFAULT_CONFIG, user)
+    if not isinstance(user, dict):
+        raise ValidationError(f"config {path} is not a JSON object")
+    config = _merge(DEFAULT_CONFIG, user)
+    _check_config(config, DEFAULT_CONFIG, "")
+    if config["simulation"]["max_age"] < MIN_TRACK_POINTS:
+        # no storm could reach the minimum track length
+        raise ValidationError(f"config simulation.max_age must be at least {MIN_TRACK_POINTS}")
+    return config
 
 
 def _config_echo(config: dict) -> str:
@@ -263,11 +316,9 @@ def cmd_diagnose(config: dict) -> int:
                 pacf_rows.append((name, lag, float(mean[lag]), len(vals)))
     _write_csv(out_dir / "pacf.csv", ["variable", "lag", "pacf", "n_storms"], pacf_rows, config)
 
-    fit_grid = build_grid(
-        catalog,
-        dlon=float(config["fit"].get("grid_dlon", 8.0)),
-        dlat=float(config["fit"].get("grid_dlat", 4.0)),
-    )
+    fit_cfg = _fit_config(config)
+    fit_grid = build_grid(catalog, dlon=fit_cfg.grid_dlon, dlat=fit_cfg.grid_dlat,
+                          lon0=fit_cfg.grid_lon0, lat0=fit_cfg.grid_lat0)
     for subset in ("all", "genesis", "lysis"):
         rows = [
             (c[0], c[1], lon, lat, dens)

@@ -2,8 +2,8 @@
 
 Provides the generalized Pareto tail fit for threshold excesses, the
 kernel-body/GPD-tail mixture marginal, the transform onto standard Laplace
-margins used by the dependence model, and the threshold/extremal-dependence
-diagnostics (mean residual life, chi).
+margins used by the dependence model, and the mean-residual-life threshold
+diagnostic.
 
 The tail is fitted by maximum likelihood on the excesses with a
 derivative-free simplex search over (log scale, shape) and random restarts;
@@ -395,21 +395,3 @@ def mean_residual_life(data, thresholds):
         half = 1.96 * float(np.std(y, ddof=1)) / math.sqrt(y.size)
         rows.append((float(u), int(y.size), mean, mean - half, mean + half))
     return rows
-
-
-def chi_tau(pairs, q: float) -> float:
-    """Empirical extremal dependence Pr(S_{t+tau} > z_q | S_t > z_q).
-
-    `pairs` is an (n, 2) array of (S_t, S_{t+tau}) values with common margins;
-    z_q is the pooled q-quantile.  Returns NaN when nothing exceeds z_q.
-    """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("pairs must be an (n, 2) array")
-    if not 0.8 < q < 1.0:
-        raise ValidationError(f"quantile level must be in (0.8, 1), got {q}")
-    z_q = float(np.quantile(pairs.ravel(), q))
-    cond = pairs[:, 0] > z_q
-    if not np.any(cond):
-        return math.nan
-    return float(np.mean(pairs[cond, 1] > z_q))

@@ -13,25 +13,27 @@ set replicated at shifts of +/- 2*pi (applied jointly to all circular
 dimensions), which makes the density continuous across the +/- pi seam.  Over
 one period each shifted copy contributes to exactly one period, so the
 average over the replicated set with the original 1/n prefactor is already
-normalized.  Kernel sums that involve no circular dimension use the original
-(unreplicated) tuples so that marginal densities are not overcounted.
+normalized.  Kernel sums over a set of dimensions with no circular one use
+the original (unreplicated) tuples so that marginal densities are not
+overcounted.
 
 All tuple weights are computed in log space with max-subtraction; conditioning
 far into the tails is routine during simulation and must not underflow.
 
-Conditional draws never build the replicated set.  Each model caches, per
+The replicated set is a definition, not a stored copy, and every kernel sum
+(densities, weights and draws) is evaluated one way.  Each model caches, per
 (given, target) pattern, the conditioning columns of its n original tuples
 pre-whitened by L / sqrt(2), with L the Cholesky factor of H_{c,c}^{-1}, so
 that minus a log kernel is a plain squared distance plus a constant.  The
 replica at shift +s is evaluated as the shifted query ``(v - s) L / sqrt(2)``
 against that same block (and -s as ``(v + s) L / sqrt(2)``).  The replicas
-keep their place in the tuple order [original, +s, -s], so the cumulative
-weights, the selected tuple and the random numbers drawn are those of the
-replicated set.  A replica is skipped outright when the squared distance
-from its whitened query to the bounding box of the whitened block proves
-that every one of its log weights lies more than 800 below the best original
-one: ``exp`` of such a relative log weight is exactly 0.0, so the skipped
-tuples add exactly nothing to the cumulative weights either way.
+keep their place in the tuple order [original, +s, -s], so the weights, the
+cumulative weights, the selected tuple and the random numbers drawn are
+those of the replicated set.  A draw skips a replica outright when the
+squared distance from its whitened query to the bounding box of the whitened
+block proves that every one of its log weights lies more than 800 below the
+best original one: ``exp`` of such a relative log weight is exactly 0.0, so
+the skipped tuples add exactly nothing to the cumulative weights either way.
 
 :func:`pick_tuples` serves a group of requests on one sampler at once (the
 batch simulation groups the pending draws of its storms by cell model and
@@ -63,9 +65,9 @@ class KdeModel:
 
     `samples` are the original training tuples (n x d); `bandwidth` is the
     d x d symmetric positive-definite kernel covariance H.  `circular_dims`
-    lists dimensions living on [-pi, pi) that are unrolled by +/- 2*pi.
-    The model is immutable after fitting; the mutable attributes are lazily
-    built caches only.
+    lists dimensions living on [-pi, pi) replicated at +/- 2*pi.
+    The model is immutable after fitting; the mutable attribute is a lazily
+    built cache only.
     """
 
     samples: np.ndarray
@@ -74,8 +76,6 @@ class KdeModel:
     structure: str = "oriented"
     circular_dims: tuple[int, ...] = ()
 
-    _unrolled: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _partitions: dict = field(default_factory=dict, repr=False, compare=False)
     _samplers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,23 +95,6 @@ class KdeModel:
     def d(self) -> int:
         return self.samples.shape[1]
 
-    def unrolled(self) -> np.ndarray:
-        """Training set replicated at joint +/- 2*pi shifts of the circular dims."""
-        if not self.circular_dims:
-            return self.samples
-        if self._unrolled is None:
-            shift = np.zeros(self.d)
-            shift[list(self.circular_dims)] = TWO_PI
-            self._unrolled = np.vstack(
-                [self.samples, self.samples + shift, self.samples - shift]
-            )
-        return self._unrolled
-
-    def _eval_samples(self, dims) -> np.ndarray:
-        if set(dims) & set(self.circular_dims):
-            return self.unrolled()
-        return self.samples
-
 
 @dataclass(frozen=True)
 class ConditionalDraw:
@@ -123,18 +106,6 @@ class ConditionalDraw:
     covariance: np.ndarray  # shared per-tuple conditional covariance
 
 
-@dataclass(frozen=True)
-class _Partition:
-    given: tuple[int, ...]
-    target: tuple[int, ...]
-    inv_cc: np.ndarray | None
-    logdet_cc: float
-    reg: np.ndarray  # (t, c): H_{t,c} H_{c,c}^{-1}
-    sigma: np.ndarray  # (t, t) conditional covariance
-    chol_sigma: np.ndarray
-    logdet_sigma: float
-
-
 # A replica copy is skipped when every one of its log weights lies more than
 # this far (plus a relative rounding slack) below the best original one;
 # exp() of anything below about -745.13 is exactly 0.0.
@@ -144,11 +115,14 @@ _SKIP_REL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class _Sampler:
-    """Cached conditional-draw data for one (given, target) pattern of a model."""
+    """Cached kernel-sum and conditional-draw data for one (given, target)
+    pattern of a model."""
 
     given: tuple[int, ...]
     target: tuple[int, ...]
-    part: _Partition
+    reg: np.ndarray  # (t, c): H_{t,c} H_{c,c}^{-1}
+    sigma: np.ndarray  # (t, t) conditional covariance
+    chol_sigma: np.ndarray
     shift: np.ndarray | None  # (d,) replica shift; None when nothing is replicated
     whiten: np.ndarray | None  # (c, c) L / sqrt(2), where L @ L.T = H_{c,c}^{-1}
     white: np.ndarray | None  # (c, n): whitened conditioning columns, one row each
@@ -228,47 +202,6 @@ def fit_kde(
     )
 
 
-def _partition(model: KdeModel, given: tuple[int, ...], target: tuple[int, ...]) -> _Partition:
-    key = (given, target)
-    part = model._partitions.get(key)
-    if part is not None:
-        return part
-    H = model.bandwidth
-    c, t = len(given), len(target)
-    if c:
-        Hcc = H[np.ix_(given, given)]
-        chol_cc = np.linalg.cholesky(Hcc)
-        inv_cc = np.linalg.inv(Hcc)
-        logdet_cc = 2.0 * float(np.sum(np.log(np.diag(chol_cc))))
-    else:
-        inv_cc, logdet_cc = None, 0.0
-    if t:
-        Htt = H[np.ix_(target, target)]
-        if c:
-            Htc = H[np.ix_(target, given)]
-            reg = Htc @ inv_cc
-            sigma = Htt - reg @ Htc.T
-        else:
-            reg = np.zeros((t, 0))
-            sigma = Htt
-        sigma = 0.5 * (sigma + sigma.T)
-        try:
-            chol_sigma = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBandwidthError(
-                f"conditional covariance for target dims {target} is singular"
-            ) from exc
-        logdet_sigma = 2.0 * float(np.sum(np.log(np.diag(chol_sigma))))
-    else:
-        reg = np.zeros((0, c))
-        sigma = np.zeros((0, 0))
-        chol_sigma = sigma
-        logdet_sigma = 0.0
-    part = _Partition(given, target, inv_cc, logdet_cc, reg, sigma, chol_sigma, logdet_sigma)
-    model._partitions[key] = part
-    return part
-
-
 def _as_dims(model: KdeModel, dims) -> tuple[int, ...]:
     out = tuple(int(i) for i in dims)
     if len(set(out)) != len(out) or any(i < 0 or i >= model.d for i in out):
@@ -282,24 +215,26 @@ def _split_given(model: KdeModel, given: dict) -> tuple[tuple[int, ...], np.ndar
     return dims, values
 
 
-def _log_kernel_sums(diff: np.ndarray, inv: np.ndarray, logdet: float) -> np.ndarray:
-    """Log Gaussian kernel with covariance described by (inv, logdet) at each row of diff."""
-    q = np.einsum("nc,cd,nd->n", diff, inv, diff)
-    return -0.5 * (q + logdet + diff.shape[1] * _LOG_2PI)
+def _log_kernels(model: KdeModel, dims, values) -> np.ndarray:
+    """Log Gaussian kernel of `dims` at `values` for each tuple of the
+    evaluation set: the rows [original, +shift, -shift] when a circular
+    dimension is among `dims`, the originals otherwise (zeros over them when
+    `dims` is empty)."""
+    s = sampler(model, (dims, ()))
+    if not s.given:
+        return np.zeros(model.n)
+    z = values @ s.whiten
+    if s.shift is not None:
+        w = np.array(s.white_shift)
+        z = np.array([z, z - w, z + w])
+    return -_half_sqdist(s.white, np.atleast_2d(z)).ravel() - s.log_norm
 
 
-def _log_weights(model: KdeModel, dims, values, eval_samples, target=()):
-    """Unnormalized log tuple weights for conditioning dims at `values`."""
-    if not dims:
-        return np.zeros(eval_samples.shape[0])
-    part = _partition(model, dims, tuple(target))
-    diff = values[None, :] - eval_samples[:, dims]
-    logk = _log_kernel_sums(diff, part.inv_cc, part.logdet_cc)
+def _check_support(logk: np.ndarray, values: np.ndarray) -> None:
     if logk.max() < _LOG_TINY:
         raise UnsupportedConditioningError(
             f"conditioning values {values.tolist()} outside kernel support"
         )
-    return logk
 
 
 def density(model: KdeModel, z, dims=None) -> float:
@@ -315,12 +250,8 @@ def density(model: KdeModel, z, dims=None) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (len(dims),):
         raise ValidationError(f"point shape {z.shape} does not match dims {dims}")
-    ev = model._eval_samples(dims)
-    part = _partition(model, dims, ())
-    diff = z[None, :] - ev[:, dims]
-    logk = _log_kernel_sums(diff, part.inv_cc, part.logdet_cc)
-    out = logsumexp(logk) - math.log(model.n)
-    return float(np.exp(out))
+    logk = _log_kernels(model, dims, z)
+    return float(np.exp(logsumexp(logk) - math.log(model.n)))
 
 
 def cdf_1d(model: KdeModel, z):
@@ -491,8 +422,7 @@ def sample_joint(model: KdeModel, rng: np.random.Generator, size: int | None = N
     """Draw from the kernel density: uniform tuple, then N(z_i, H); circular dims wrapped."""
     m = 1 if size is None else int(size)
     idx = rng.integers(0, model.n, size=m)
-    part = _partition(model, (), tuple(range(model.d)))
-    noise = rng.standard_normal((m, model.d)) @ part.chol_sigma.T
+    noise = rng.standard_normal((m, model.d)) @ sampler(model, ((), None)).chol_sigma.T
     out = model.samples[idx] + noise
     _wrap_circular(out, model.circular_dims, tuple(range(model.d)))
     return out[0] if size is None else out
@@ -501,28 +431,31 @@ def sample_joint(model: KdeModel, rng: np.random.Generator, size: int | None = N
 def conditional_weights(model: KdeModel, given: dict) -> tuple[np.ndarray, np.ndarray]:
     """Normalized tuple weights for the given conditioning values.
 
-    Returns (weights, evaluation samples); the evaluation set is the
-    replicated one when a circular dimension is involved.
+    Returns (weights, evaluation rows); the rows are the replicated set
+    [original, +shift, -shift] when a circular dimension is conditioned on.
     """
     dims, values = _split_given(model, given)
-    ev = model._eval_samples(dims)
-    logw = _log_weights(model, dims, values, ev)
+    logw = _log_kernels(model, dims, values)
+    _check_support(logw, values)
     w = np.exp(logw - logsumexp(logw))
-    return w / w.sum(), ev
+    rows, shift = model.samples, sampler(model, (dims, ())).shift
+    if shift is not None:
+        rows = np.vstack([rows, rows + shift, rows - shift])
+    return w / w.sum(), rows
 
 
 def conditional_info(model: KdeModel, given: dict, target_dims=None) -> ConditionalDraw:
     """Weights plus mixture conditional mean/covariance for inspection and tests."""
     dims, values = _split_given(model, given)
     target = _target_dims(model, dims, target_dims)
-    w, ev = conditional_weights(model, given)
-    part = _partition(model, dims, target)
-    mu = ev[:, target] + (values[None, :] - ev[:, dims]) @ part.reg.T
+    w, rows = conditional_weights(model, given)
+    s = sampler(model, (dims, target))
+    mu = rows[:, target] + (values[None, :] - rows[:, dims]) @ s.reg.T
     return ConditionalDraw(
         conditioning=values,
         weights=w,
         mean=w @ mu,
-        covariance=part.sigma.copy(),
+        covariance=s.sigma.copy(),
     )
 
 
@@ -542,33 +475,47 @@ def _wrap_circular(arr: np.ndarray, circular_dims, dims) -> None:
 
 
 def sampler(model: KdeModel, key) -> _Sampler:
-    """The sampler for `key` = (sorted given dims, target dims or None), built
-    on first use and cached on the model."""
+    """The sampler for `key` = (given dims, target dims or None for all the
+    others), built on first use and cached on the model.  The target may be
+    empty: kernel sums over the given dims need no target."""
     s = model._samplers.get(key)
     if s is not None:
         return s
     given_dims, target_dims = key
     dims = _as_dims(model, given_dims)
     target = _target_dims(model, dims, target_dims)
-    if not target:
-        raise ValidationError("no target dimensions to sample")
-    part = _partition(model, dims, target)
+    H = model.bandwidth
     shift = None
     if set(model.circular_dims) & set(dims + target):
         shift = np.zeros(model.d)
         shift[list(model.circular_dims)] = TWO_PI
     whiten = white = None
     lo = hi = white_shift = []
+    log_norm = 0.0
+    reg = np.zeros((len(target), len(dims)))
     if dims:
+        Hcc = H[np.ix_(dims, dims)]
+        logdet_cc = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(Hcc)))))
+        log_norm = 0.5 * (logdet_cc + len(dims) * _LOG_2PI)
+        inv_cc = np.linalg.inv(Hcc)
+        reg = H[np.ix_(target, dims)] @ inv_cc
         # half the squared Mahalanobis distance is a squared distance after whitening
-        whiten = np.linalg.cholesky(part.inv_cc) * math.sqrt(0.5)
+        whiten = np.linalg.cholesky(inv_cc) * math.sqrt(0.5)
         white = np.ascontiguousarray((model.samples[:, dims] @ whiten).T)
         lo, hi = white.min(axis=1).tolist(), white.max(axis=1).tolist()
         if shift is not None:
             white_shift = (shift[list(dims)] @ whiten).tolist()
+    sigma = H[np.ix_(target, target)] - reg @ H[np.ix_(target, dims)].T
+    sigma = 0.5 * (sigma + sigma.T)
+    try:
+        chol_sigma = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBandwidthError(
+            f"conditional covariance for target dims {target} is singular"
+        ) from exc
     s = _Sampler(
-        given=dims, target=target, part=part, shift=shift, whiten=whiten, white=white,
-        log_norm=0.5 * (part.logdet_cc + len(dims) * _LOG_2PI),
+        given=dims, target=target, reg=reg, sigma=sigma, chol_sigma=chol_sigma,
+        shift=shift, whiten=whiten, white=white, log_norm=log_norm,
         lo=lo, hi=hi, white_shift=white_shift,
     )
     model._samplers[key] = s
@@ -697,8 +644,8 @@ def draw_scalar(model: KdeModel, s: _Sampler, values, picked, rng) -> float:
     z = model.samples[row]
     if block:
         z = z + (1.0 if block == 1 else -1.0) * s.shift
-    x = float(z[s.target[0]] + (values - z.take(s.given)).dot(s.part.reg[0]))
-    x += rng.standard_normal() * float(s.part.chol_sigma[0, 0])
+    x = float(z[s.target[0]] + (values - z.take(s.given)).dot(s.reg[0]))
+    x += rng.standard_normal() * float(s.chol_sigma[0, 0])
     if s.target[0] in model.circular_dims:
         x = (x + math.pi) % TWO_PI - math.pi
     return x
@@ -720,8 +667,8 @@ def draw_picked(model: KdeModel, s: _Sampler, values, picked, rng) -> np.ndarray
     # matrix product's operand picks the BLAS kernel, and so the rounding
     mu = rows[:, s.target]
     if s.given:
-        mu = mu + (values[None, :] - rows[:, s.given]) @ s.part.reg.T
-    draws = mu + rng.standard_normal((len(row), len(s.target))) @ s.part.chol_sigma.T
+        mu = mu + (values[None, :] - rows[:, s.given]) @ s.reg.T
+    draws = mu + rng.standard_normal((len(row), len(s.target))) @ s.chol_sigma.T
     _wrap_circular(draws, model.circular_dims, s.target)
     return draws
 
@@ -749,6 +696,8 @@ def sample_conditional(
         UnsupportedConditioningError: all tuple weights underflow.
     """
     s = sampler(model, (tuple(sorted(given)), None if target_dims is None else tuple(target_dims)))
+    if not s.target:
+        raise ValidationError("no target dimensions to sample")
     m = 1 if size is None else int(size)
     values = None
     if s.given:
@@ -772,22 +721,19 @@ def sample_conditional(
 def conditional_density(model: KdeModel, target: dict, given: dict) -> float:
     """Conditional kernel density of `target` values given `given` values.
 
-    Evaluates the weighted mixture of per-tuple Gaussian conditionals; equals
-    the ratio of the joint to the marginal kernel density exactly.
+    The ratio of the joint kernel density of the target and given dims to
+    the marginal kernel density of the given dims, each a kernel sum over
+    its own evaluation set; equal to the weighted mixture of per-tuple
+    Gaussian conditionals.
+
+    Raises:
+        UnsupportedConditioningError: all marginal kernels underflow.
     """
     gdims, gvalues = _split_given(model, given)
-    tdims, tvalues = _split_given(model, target)
+    tdims, _ = _split_given(model, target)
     if set(gdims) & set(tdims):
         raise ValidationError("target and conditioning dims overlap")
-    ev = model._eval_samples(gdims + tdims)
-    logw = _log_weights(model, gdims, gvalues, ev, target=tdims)
-    logw = logw - logsumexp(logw)
-    part = _partition(model, gdims, tdims)
-    if gdims:
-        mu = ev[:, tdims] + (gvalues[None, :] - ev[:, gdims]) @ part.reg.T
-    else:
-        mu = ev[:, tdims]
-    diff = tvalues[None, :] - mu
-    inv_sigma = np.linalg.inv(part.sigma)
-    logk = _log_kernel_sums(diff, inv_sigma, part.logdet_sigma)
-    return float(np.exp(logsumexp(logw + logk)))
+    log_marginal = _log_kernels(model, gdims, gvalues)
+    _check_support(log_marginal, gvalues)
+    log_joint = _log_kernels(model, *_split_given(model, {**given, **target}))
+    return float(np.exp(logsumexp(log_joint) - logsumexp(log_marginal)))

@@ -3,7 +3,7 @@
 Exceedance probabilities condition on track points falling inside a lon/lat
 region (optionally collapsed to one indicator per storm), return periods and
 levels invert the empirical annual exceedance-rate step function, and all
-interval estimates come from a storm-level nonparametric bootstrap.  QQ
+interval estimates come from one storm-level nonparametric bootstrap.  QQ
 tolerance envelopes resample the simulated sample at the observed size.
 """
 
@@ -91,17 +91,25 @@ def _percentile_interval(reps, level):
     return _percentile(reps, 100 * alpha), _percentile(reps, 100 * (1 - alpha))
 
 
-def _ratio_bootstrap_ci(num, den, n_boot, level, seed):
+def _bootstrap_ci(n, n_boot, level, seed, replicate):
+    """Percentile interval of `replicate(idx)` over `n_boot` storm-level
+    resamples, each drawing n storm indices with replacement; None when
+    `n_boot` <= 0."""
     if n_boot <= 0:
         return None
     rng = np.random.default_rng(seed)
-    n = len(num)
     reps = np.empty(n_boot)
     for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        d = den[idx].sum()
-        reps[b] = num[idx].sum() / d if d > 0 else np.nan
+        reps[b] = replicate(rng.integers(0, n, size=n))
     return _percentile_interval(reps, level)
+
+
+def _ratio_bootstrap_ci(num, den, n_boot, level, seed):
+    def ratio(idx):
+        d = den[idx].sum()
+        return num[idx].sum() / d if d > 0 else np.nan
+
+    return _bootstrap_ci(len(num), n_boot, level, seed, ratio)
 
 
 def exceedance_prob(catalog: Catalog, region: Region, omega: float,
@@ -150,14 +158,12 @@ def return_period(catalog: Catalog, region: Region, omega: float,
     count, n_in = int(num.sum()), int(den.sum())
     if count == 0:
         return RiskResult(math.inf, None, 0, n_in, note="infinite-period")
-    ci = None
-    if n_boot > 0:
-        rng = np.random.default_rng(seed)
-        reps = np.empty(n_boot)
-        for b in range(n_boot):
-            c = num[rng.integers(0, len(num), size=len(num))].sum()
-            reps[b] = years / c if c > 0 else np.inf
-        ci = _percentile_interval(reps, level)
+
+    def period(idx):
+        c = num[idx].sum()
+        return years / c if c > 0 else np.inf
+
+    ci = _bootstrap_ci(len(num), n_boot, level, seed, period)
     return RiskResult(float(years / count), ci, count, n_in)
 
 
@@ -192,19 +198,16 @@ def return_level(catalog: Catalog, region: Region, r_years: float,
         return float(sorted_vals[-1])
 
     est = level_of(vals)
-    ci = None
-    if n_boot > 0:
+    owner = cols.storm[inside][order]
+    n = len(catalog.storms)
+
+    def resampled_level(idx):
         # a resample's sorted values are the sorted in-region values, each
         # repeated as often as its storm was drawn
-        owner = cols.storm[inside][order]
-        n = len(catalog.storms)
-        rng = np.random.default_rng(seed)
-        reps = np.empty(n_boot)
-        for b in range(n_boot):
-            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            resampled = np.repeat(vals, drawn[owner])
-            reps[b] = level_of(resampled) if resampled.size else np.nan
-        ci = _percentile_interval(reps, level)
+        resampled = np.repeat(vals, np.bincount(idx, minlength=n)[owner])
+        return level_of(resampled) if resampled.size else np.nan
+
+    ci = _bootstrap_ci(n, n_boot, level, seed, resampled_level)
     return RiskResult(est, ci, int(np.sum(vals > est)), vals.size)
 
 
@@ -277,37 +280,6 @@ def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all",
         lon_c, lat_c, w = weights[cell]
         rows.append((cell, lon_c, lat_c, w / total))
     return rows
-
-
-def bootstrap_ci(statistic, catalog: Catalog, n_boot: int = 200, level: float = 0.95,
-                 seed: int = 0) -> tuple[float, float]:
-    """Percentile interval of `statistic(catalog)` under storm resampling.
-
-    Storms (not points) are drawn with replacement.  A replicate on which the
-    statistic is undefined (exception or NaN) is redrawn up to 10 times, then
-    left as NaN, which propagates into the interval.
-    """
-    if n_boot < 200:
-        raise ValidationError(f"need at least 200 bootstrap replicates, got {n_boot}")
-    rng = np.random.default_rng(seed)
-    storms = catalog.storms
-    reps = np.empty(n_boot)
-    for b in range(n_boot):
-        val = math.nan
-        for _ in range(10):
-            idx = rng.integers(0, len(storms), size=len(storms))
-            resampled = Catalog(
-                storms=tuple(storms[i] for i in idx),
-                years_of_record=catalog.years_of_record,
-            )
-            try:
-                val = float(statistic(resampled))
-            except (ValidationError, UndefinedRegionError, ZeroDivisionError):
-                continue
-            if not math.isnan(val):
-                break
-        reps[b] = val
-    return _percentile_interval(reps, level)
 
 
 VARIABLE_GETTERS = {

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -265,3 +267,68 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"storm '{fields[0]}', line 3: {named}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, key, value, named", [
+    ("risk", "risk", "bootstrap_b", "x", "risk.bootstrap_b"),
+    ("diagnose", "diagnose", "qq_points", "x", "diagnose.qq_points"),
+    ("risk", "risk", "omegas", ["a"], "risk.omegas[0]"),
+    ("risk", "risk", "regions", [{"lon_max": 2.0, "lat_min": 50.0, "lat_max": 60.0}],
+     "risk.regions[0] is missing 'lon_min'"),
+    ("simulate", "simulation", "workers", "2", "simulation.workers"),
+    ("simulate", "simulation", "max_age", "x", "simulation.max_age"),
+    ("simulate", "simulation", "n_storms", "x", "simulation.n_storms"),
+    ("simulate", "simulation", "hazard_region", [[1]], "simulation.hazard_region[0]"),
+    ("simulate", "simulation", "max_age", 0, "simulation.max_age must be at least 8"),
+    ("fit", "diagnose", "mrl_points", 15.0, "diagnose.mrl_points must be an integer"),
+    ("fit", None, None, None, "not a JSON object"),
+    ("simulate", None, None, None, "not a JSON object"),
+    ("risk", None, None, None, "not a JSON object"),
+    ("diagnose", None, None, None, "not a JSON object"),
+])
+def test_malformed_config_value_exit_2(workdir, tmp_path, capsys, command, section, key, value,
+                                       named):
+    root, cfg_path = workdir
+    cfg = json.loads(Path(cfg_path).read_text())
+    if section is None:
+        cfg = [cfg]
+    else:
+        cfg[section] = {**cfg.get(section, {}), key: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(bad), "--output-dir", str(tmp_path / "out"),
+            "--bundle", str(root / "bundle.json")]
+    assert main(argv + (["--seed", "1"] if command == "simulate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({command}):") and named in err
+
+
+def test_diagnose_density_on_the_fit_grid(workdir, tmp_path):
+    root, cfg_path = workdir
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["fit"].update(grid_lon0=-178.0, grid_lat0=-89.0)
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(shifted), "--output-dir", str(out)]) == 0
+    assert main(["diagnose", "--config", str(shifted), "--output-dir", str(out)]) == 0
+    grid = load_bundle(out / "bundle.json").grid
+    rows = [l.split(",") for l in (out / "density_all.csv").read_text().splitlines()[2:]]
+    assert rows
+    for i, j, lon, lat, _ in rows:
+        assert (float(lon), float(lat)) == grid.cell_center((int(i), int(j)))
+    assert {(int(r[0]), int(r[1])) for r in rows} == set(grid.active_cells)
+
+
+def test_benchmark_traced_functions_exist():
+    # perfbench/tracing.py wraps these attributes; a renamed or deleted one
+    # would otherwise fail only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr in tracing.TARGETS:
+        obj = importlib.import_module(f"stormsim.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"

@@ -409,7 +409,7 @@ def test_bundle_json_layout(fitted_bundle):
     doc = json.loads(bundle_to_json(fitted_bundle))
     assert "hazard" in doc and "hazard_fit" not in doc
     assert set(doc["direction"]) == {"models", "assignment", "global"}
-    # lazily built caches (_unrolled, _partitions, _samplers) are not written
+    # the lazily built sampler cache (_samplers) is not written
     assert set(doc["genesis_location"]) == {"samples", "bandwidth", "scale", "structure",
                                             "circular_dims"}
     cell, target = next(iter(doc["direction"]["assignment"].items()))

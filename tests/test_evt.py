@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import genpareto, multivariate_normal, norm
+from scipy.stats import genpareto
 
 from stormsim.errors import InsufficientTailError, ValidationError
 from stormsim.kde import cdf_1d
 from stormsim.evt import (
     GpdFit,
     MixtureMarginal,
-    chi_tau,
     fit_gpd,
     fit_mixture,
     from_laplace,
@@ -273,38 +272,3 @@ def test_mrl_excludes_thresholds_above_max():
 def test_mrl_empty_grid():
     with pytest.raises(ValidationError):
         mean_residual_life(np.arange(100, dtype=float), [])
-
-
-def test_chi_independent_pairs():
-    rng = np.random.default_rng(10)
-    pairs = rng.normal(size=(200_000, 2))
-    q = 0.95
-    got = chi_tau(pairs, q)
-    assert got == pytest.approx(1.0 - q, abs=0.01)
-
-
-def test_chi_perfect_dependence():
-    x = np.random.default_rng(11).normal(size=50_000)
-    assert chi_tau(np.column_stack([x, x]), 0.99) == 1.0
-
-
-def test_chi_gaussian_copula_matches_orthant_oracle():
-    rho = 0.6
-    rng = np.random.default_rng(12)
-    n = 1_000_000
-    z = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=n)
-    vals = []
-    for q in (0.95, 0.99):
-        got = chi_tau(z, q)
-        zq = float(np.quantile(z.ravel(), q))
-        joint = multivariate_normal([0, 0], [[1, rho], [rho, 1]]).cdf([-zq, -zq])
-        want = joint / norm.cdf(-zq)  # symmetry: P(both > z) = P(both < -z)
-        se = math.sqrt(want * (1 - want) / (n * (1 - q)))
-        assert got == pytest.approx(want, abs=4 * se + 0.002)
-        vals.append(got)
-    assert vals[1] < vals[0]  # asymptotic independence: chi decreasing in q
-
-
-def test_chi_bad_level():
-    with pytest.raises(ValidationError):
-        chi_tau(np.zeros((10, 2)), 0.5)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from stormsim.errors import SingularBandwidthError, UnsupportedConditioningError, ValidationError
 from stormsim.kde import (
     KdeModel,
-    _partition,
     cdf_1d,
     conditional_density,
     conditional_info,
@@ -24,13 +24,53 @@ from stormsim.kde import (
 )
 
 TWO_PI = 2.0 * math.pi
+LOG_TINY = math.log(1e-300)
 
 
 # ---------------------------------------------------------------- oracles
 
+def replicated(model, dims):
+    """The evaluation set of a kernel sum over `dims`: the tuples at joint
+    +-2 pi shifts of the circular dims, as [original, +shift, -shift], when a
+    circular dim is among `dims`; the original tuples otherwise."""
+    if not set(dims) & set(model.circular_dims):
+        return model.samples
+    shift = np.zeros(model.d)
+    shift[list(model.circular_dims)] = TWO_PI
+    return np.vstack([model.samples, model.samples + shift, model.samples - shift])
+
+
+def oracle_parts(model, dims, target):
+    """(inv H_cc, log det H_cc, regression H_tc H_cc^-1, conditional
+    covariance, its Cholesky factor) of the (given, target) split of H, with
+    the operations of the sampler, so that draws agree bit for bit."""
+    H = model.bandwidth
+    inv_cc = logdet_cc = None
+    reg = np.zeros((len(target), len(dims)))
+    if dims:
+        Hcc = H[np.ix_(dims, dims)]
+        inv_cc = np.linalg.inv(Hcc)
+        logdet_cc = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(Hcc)))))
+        reg = H[np.ix_(target, dims)] @ inv_cc
+    sigma = H[np.ix_(target, target)] - reg @ H[np.ix_(target, dims)].T
+    sigma = 0.5 * (sigma + sigma.T)
+    return inv_cc, logdet_cc, reg, sigma, np.linalg.cholesky(sigma)
+
+
+def oracle_log_kernels(model, dims, values, ev):
+    """Log kernel of `dims` at `values` for every row of `ev`, as the full
+    quadratic form of each row's difference; zeros when `dims` is empty."""
+    if not dims:
+        return np.zeros(len(ev))
+    inv_cc, logdet_cc, *_ = oracle_parts(model, dims, ())
+    diff = values[None, :] - ev[:, dims]
+    q = np.einsum("nc,cd,nd->n", diff, inv_cc, diff)
+    return -0.5 * (q + logdet_cc + len(dims) * math.log(TWO_PI))
+
+
 def brute_joint_pdf(model, z, dims):
     """Joint density over `dims` by direct per-kernel evaluation (scipy mvn)."""
-    ev = model._eval_samples(dims)
+    ev = replicated(model, dims)
     H = model.bandwidth[np.ix_(dims, dims)]
     vals = [multivariate_normal.pdf(z, mean=s[list(dims)], cov=H) for s in ev]
     return float(np.sum(vals)) / model.n
@@ -72,9 +112,9 @@ def test_scott_rule_hand_value():
 
 def test_circular_unroll_definition():
     model = fit_kde(np.array([[-math.pi + 0.01]]), circular_dims=(0,), cov=[[0.1]])
-    got = sorted(model.unrolled()[:, 0])
-    want = sorted([-math.pi + 0.01, math.pi + 0.01, -3 * math.pi + 0.01])
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    _, rows = conditional_weights(model, {0: 0.0})
+    want = [-math.pi + 0.01, math.pi + 0.01, -3 * math.pi + 0.01]  # original, +2pi, -2pi
+    np.testing.assert_allclose(rows[:, 0], want, atol=1e-12)
 
 
 def test_scale_zero_raises():
@@ -345,23 +385,21 @@ def oracle_sample_conditional(model, given, rng, target_dims=None, size=None):
         target = tuple(i for i in range(model.d) if i not in dims)
     else:
         target = tuple(int(i) for i in target_dims)
-    ev = model.unrolled() if set(dims + target) & set(model.circular_dims) else model.samples
-    part = _partition(model, dims, target)
+    ev = replicated(model, dims + target)
+    _, _, reg, _, chol_sigma = oracle_parts(model, dims, target)
     m = 1 if size is None else int(size)
     if dims:
-        diff = values[None, :] - ev[:, dims]
-        q = np.einsum("nc,cd,nd->n", diff, part.inv_cc, diff)
-        logw = -0.5 * (q + part.logdet_cc + len(dims) * math.log(TWO_PI))
-        if logw.max() < math.log(1e-300):
+        logw = oracle_log_kernels(model, dims, values, ev)
+        if logw.max() < LOG_TINY:
             raise UnsupportedConditioningError("outside kernel support")
         cum = np.cumsum(np.exp(logw - logw.max()))
         idx = np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
         idx = np.minimum(idx, len(cum) - 1)
-        mu = ev[idx][:, target] + (values[None, :] - ev[idx][:, dims]) @ part.reg.T
+        mu = ev[idx][:, target] + (values[None, :] - ev[idx][:, dims]) @ reg.T
     else:
         idx = rng.integers(0, ev.shape[0], size=m)
         mu = ev[idx][:, target]
-    draws = mu + rng.standard_normal((m, len(target))) @ part.chol_sigma.T
+    draws = mu + rng.standard_normal((m, len(target))) @ chol_sigma.T
     for pos, dim in enumerate(target):
         if dim in model.circular_dims:
             draws[..., pos] = (draws[..., pos] + math.pi) % TWO_PI - math.pi
@@ -498,3 +536,123 @@ def test_seam_replicas_are_drawn():
     for seed in range(20):
         assert assert_same_draws(model, {0: -3.12}, (1,), seed)
         assert assert_same_draws(model, {1: 1.0}, (0,), seed, size=5)
+
+
+# ---------------------------------------------------------------- kernel-sum oracle
+
+def oracle_weights(model, given):
+    dims = tuple(sorted(given))
+    values = np.array([given[i] for i in dims], dtype=float)
+    ev = replicated(model, dims)
+    logw = oracle_log_kernels(model, dims, values, ev)
+    if logw.max() < LOG_TINY:
+        raise UnsupportedConditioningError("outside kernel support")
+    w = np.exp(logw - logsumexp(logw))
+    return w / w.sum(), ev
+
+
+def oracle_conditional_density(model, target, given):
+    """The mixture of per-tuple Gaussian conditionals over the evaluation set
+    of the target and given dims, divided by the kernel sum of the given dims
+    over their own evaluation set."""
+    gdims, tdims = tuple(sorted(given)), tuple(sorted(target))
+    gvalues = np.array([given[i] for i in gdims], dtype=float)
+    tvalues = np.array([target[i] for i in tdims], dtype=float)
+    log_marginal = oracle_log_kernels(model, gdims, gvalues, replicated(model, gdims))
+    if log_marginal.max() < LOG_TINY:
+        raise UnsupportedConditioningError("outside kernel support")
+    ev = replicated(model, gdims + tdims)
+    _, _, reg, sigma, chol_sigma = oracle_parts(model, gdims, tdims)
+    diff = tvalues[None, :] - ev[:, tdims] - (gvalues[None, :] - ev[:, gdims]) @ reg.T
+    q = np.einsum("nc,cd,nd->n", diff, np.linalg.inv(sigma), diff)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_sigma))))
+    log_target = -0.5 * (q + logdet + len(tdims) * math.log(TWO_PI))
+    log_joint = oracle_log_kernels(model, gdims, gvalues, ev) + log_target
+    return float(np.exp(logsumexp(log_joint) - logsumexp(log_marginal)))
+
+
+def same_or_both_unsupported(got, want):
+    """(got(), want()), or None when both raise UnsupportedConditioningError."""
+    try:
+        expected = want()
+    except UnsupportedConditioningError:
+        with pytest.raises(UnsupportedConditioningError):
+            got()
+        return None
+    return got(), expected
+
+
+def seam_values(rng, model, dims, far):
+    """Conditioning values, with circular ones exactly at -pi or +pi a quarter of the time."""
+    values = conditioning_values(rng, model, dims, far)
+    for i in dims:
+        if i in model.circular_dims and rng.random() < 0.25:
+            values[i] = float(rng.choice([-math.pi, math.pi]))
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    n=st.integers(1, 60),
+    circular=st.sampled_from(["none", "some", "all"]),
+    scale=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    far=st.booleans(),
+)
+def test_kernel_sums_match_replicated_set_oracle(seed, d, n, circular, scale, far):
+    rng = np.random.default_rng(seed)
+    circ = {"none": (), "all": tuple(range(d)),
+            "some": tuple(sorted(rng.choice(d, size=rng.integers(1, d + 1), replace=False)))}[circular]
+    independent = tuple(i for i in range(d) if rng.random() < 0.3)
+    model = seam_model(rng, d, max(n, d + 2), circ, independent, scale)
+    dims = [i for i in range(d) if rng.random() < 0.5]
+    rest = [i for i in range(d) if i not in dims]
+    if not rest:
+        dims, rest = dims[:-1], dims[-1:]
+    target = sorted(int(i) for i in rng.choice(rest, size=rng.integers(1, len(rest) + 1), replace=False))
+    given_values = seam_values(rng, model, dims, far and bool(dims))
+    target_values = seam_values(rng, model, target, False)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
+
+    point = seam_values(rng, model, range(d), far)
+    for sub in (list(range(d)), sorted(set(dims) | set(target))):
+        z = np.array([point[i] for i in sub])
+        log_sum = logsumexp(oracle_log_kernels(model, sub, z, replicated(model, sub)))
+        close(density(model, z, dims=sub), math.exp(log_sum - math.log(model.n)))
+
+    pair = same_or_both_unsupported(lambda: conditional_weights(model, given_values),
+                                    lambda: oracle_weights(model, given_values))
+    if pair is not None:
+        (w, rows), (want_w, want_rows) = pair
+        assert np.array_equal(rows, want_rows)
+        close(w, want_w)
+        info = conditional_info(model, given_values, target)
+        _, _, reg, sigma, _ = oracle_parts(model, tuple(dims), tuple(target))
+        values = np.array([given_values[i] for i in dims])
+        mu = want_rows[:, target] + (values[None, :] - want_rows[:, dims]) @ reg.T
+        np.testing.assert_allclose(info.mean, want_w @ mu, rtol=0,
+                                   atol=1e-11 * float(np.max(want_w @ np.abs(mu))))
+        assert np.array_equal(info.covariance, sigma)
+
+    tgt = {i: target_values[i] for i in target}
+    pair = same_or_both_unsupported(lambda: conditional_density(model, tgt, given_values),
+                                    lambda: oracle_conditional_density(model, tgt, given_values))
+    if pair is not None:
+        close(*pair)
+
+
+def test_circular_conditional_density_integrates_to_one():
+    # a circular target given a linear dim: the conditional density wraps the
+    # target onto one period, so it integrates to one over [-pi, pi)
+    rng = np.random.default_rng(20)
+    model = fit_kde(np.column_stack([rng.vonmises(3.0, 3.0, 100), rng.standard_normal(100)]),
+                    circular_dims=(0,))
+    for y in (-1.0, 0.2):
+        val, _ = quad(lambda t: conditional_density(model, {0: t}, {1: y}), -math.pi, math.pi,
+                      limit=200)
+        assert val == pytest.approx(1.0, abs=1e-6)
+        ratio = density(model, [3.0, y]) / density(model, [y], dims=(1,))
+        assert conditional_density(model, {0: 3.0}, {1: y}) == pytest.approx(ratio, rel=1e-12)

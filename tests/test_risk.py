@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormsim.catalog import Catalog, GridSpec, StormTrack, build_grid, grid_cell
-from stormsim.errors import UndefinedRegionError, ValidationError
+from stormsim.errors import UndefinedRegionError
 from stormsim.risk import (
     Region,
     _percentile_interval,
-    bootstrap_ci,
     catalog_qq_envelope,
     cell_return_periods,
     exceedance_prob,
@@ -252,29 +251,6 @@ def test_spatial_density_genesis_lysis_partition(toy_catalog):
 
 
 # ------------------------------------------------------------- bootstrap
-
-def test_bootstrap_constant_statistic_zero_width(toy_catalog):
-    lo, hi = bootstrap_ci(lambda c: 42.0, toy_catalog, n_boot=200, seed=0)
-    assert lo == hi == 42.0
-
-
-def test_bootstrap_deterministic(toy_catalog):
-    stat = lambda c: c.n_points() / len(c)
-    a = bootstrap_ci(stat, toy_catalog, n_boot=200, seed=1)
-    b = bootstrap_ci(stat, toy_catalog, n_boot=200, seed=1)
-    assert a == b
-
-
-def test_bootstrap_resamples_storms_not_points(toy_catalog):
-    sizes = set()
-    bootstrap_ci(lambda c: sizes.add(c.n_points()) or 0.0, toy_catalog, n_boot=200, seed=2)
-    assert len(sizes) > 1  # storm lengths differ, so point counts vary
-
-
-def test_bootstrap_requires_200():
-    with pytest.raises(ValidationError):
-        bootstrap_ci(lambda c: 0.0, None, n_boot=100)
-
 
 def test_bootstrap_coverage_of_known_probability():
     # desk-scale version of the coverage experiment (full run in acceptance)
