@@ -13,10 +13,12 @@ Exit codes: 0 ok, 2 validation/input problems, 3 fit or runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ DEFAULT_CONFIG = {
 _SET_VALUES = {
     "paths.catalog": "", "paths.simulated": "", "years_of_record": 1.0,
     "simulation.seed": 0, "simulation.hazard_region": [(0.0, 0.0)],
+    "fit.u_laplace": 1.0, "fit.censored_resolution": 1.0,
 }
 
 
@@ -59,9 +62,10 @@ def _check_config(value, default, key: str) -> None:
     """Raise ValidationError naming `key` unless `value` has the JSON shape of
     its default: an object holds every key of the default object (a region
     may omit its name), a list holds items shaped like the default's first
-    item, a tuple stands for a list of exactly its items, a float for any
-    finite number and an int for an integer.  A key whose default is
-    null may also hold the shape that `_SET_VALUES` gives it."""
+    item, a tuple stands for a list of exactly its items, a bool for true or
+    false, a float for any finite number and an int for an integer.  A key
+    whose default is null may also hold the shape that `_SET_VALUES` gives
+    it."""
     if default is None:
         if value is None:
             return
@@ -84,6 +88,9 @@ def _check_config(value, default, key: str) -> None:
     elif isinstance(default, str):
         if not isinstance(value, str):
             raise ValidationError(f"config {key} must be a string, got {value!r:.40}")
+    elif isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValidationError(f"config {key} must be true or false, got {value!r:.40}")
     else:
         ok = isinstance(value, int) and not isinstance(value, bool)
         if isinstance(default, float) and isinstance(value, float):
@@ -152,11 +159,19 @@ def _require_catalog(config: dict, key: str = "catalog"):
 
 
 def _fit_config(config: dict) -> engine.FitConfig:
+    """The FitConfig of the `fit` section, whose values must have the JSON
+    shape of the fields' defaults (a tuple[X, ...] field's of any length)."""
     overrides = dict(config.get("fit", {}))
-    if "window" in overrides:
-        overrides["window"] = tuple(overrides["window"])
-    if "gam_covariates" in overrides:
-        overrides["gam_covariates"] = tuple(overrides["gam_covariates"])
+    hints = typing.get_type_hints(engine.FitConfig)
+    for field in dataclasses.fields(engine.FitConfig):
+        if field.name in overrides:
+            value = overrides[field.name]
+            shape = field.default
+            if typing.get_args(hints[field.name])[-1:] == (Ellipsis,):
+                shape = list(shape[:1])
+            _check_config(value, shape, f"fit.{field.name}")
+            if isinstance(value, list):
+                overrides[field.name] = tuple(value)
     try:
         return engine.FitConfig(**overrides)
     except TypeError as exc:
@@ -177,7 +192,7 @@ def cmd_fit(config: dict) -> int:
         _config_echo(config) + "\n" + engine.fit_report(bundle), encoding="utf-8"
     )
 
-    w = np.concatenate([t[np.isfinite(t)] for t in engine.residual_tracks(bundle.preproc, catalog)])
+    w = bundle.marginal.body.samples[:, 0]  # the pooled in-window W values
     grid = np.quantile(w, np.linspace(0.5, 0.995, config["diagnose"]["mrl_points"]))
     rows = evt.mean_residual_life(w, grid)
     _write_csv(out_dir / "mrl.csv",

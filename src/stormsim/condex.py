@@ -10,7 +10,9 @@ kernel-smoothed distribution of the inverted residual vectors.
 Simulation steps an extremal chain: the effective order l is the number of
 consecutive threshold excesses immediately before the current time, the new
 value anchors on S_{j-l}, and the lag-l residual is drawn from the residual
-kernel conditioned on the residuals implied by the intervening values.
+kernel conditioned on the residuals implied by the intervening values.  The
+step is the generator :func:`tail_step`, whose residual draw is a
+:func:`kde.draw` request, served like every other kernel draw of a storm.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import kde
-from .errors import (
-    FitError,
-    InsufficientTailError,
-    SingularBandwidthError,
-    UnsupportedConditioningError,
-    ValidationError,
-)
+from .errors import FitError, InsufficientTailError, SingularBandwidthError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -186,27 +182,27 @@ def effective_order(recent, u_laplace: float, k: int) -> int:
     return l
 
 
+def tail_step(fit: CondExFit, recent, rng: np.random.Generator):
+    """Generator form of :func:`step_tail_chain`: yields its residual draw
+    through :func:`kde.draw`."""
+    recent = np.asarray(recent, dtype=float)
+    l = effective_order(recent, fit.u_laplace, fit.k)
+    if l < 1:
+        raise ValidationError("no threshold excess in the recent window; use the body sampler")
+    s0 = float(recent[-l])
+    given = np.array([(float(recent[-l + i]) - fit.alpha[i - 1] * s0) / s0 ** fit.beta[i - 1]
+                      for i in range(1, l)])
+    e = yield from kde.draw(fit.residual_kde, (tuple(range(l - 1)), (l - 1,)), given, rng)
+    return fit.alpha[l - 1] * s0 + s0 ** fit.beta[l - 1] * e
+
+
 def step_tail_chain(fit: CondExFit, recent, rng: np.random.Generator) -> float:
     """One extremal Markov step: draw S_j given the recent Laplace window.
 
     The effective order l anchors the step on S_{j-l}; the lag-l residual is
     drawn from the residual kernel conditioned on the l-1 residuals implied
     by the intervening observed values.  If those residuals fall outside the
-    kernel support, falls back to an unconditional residual draw (logged).
-    The returned value is unconstrained in sign.
+    kernel support, the residual is drawn from its marginal (see
+    :func:`kde.draw`).  The returned value is unconstrained in sign.
     """
-    recent = np.asarray(recent, dtype=float)
-    l = effective_order(recent, fit.u_laplace, fit.k)
-    if l < 1:
-        raise ValidationError("no threshold excess in the recent window; use the body sampler")
-    s0 = float(recent[-l])
-    given = {}
-    for i in range(1, l):
-        e_i = (float(recent[-l + i]) - fit.alpha[i - 1] * s0) / s0 ** fit.beta[i - 1]
-        given[i - 1] = e_i
-    try:
-        e = kde.sample_conditional(fit.residual_kde, given, rng, target_dims=(l - 1,))
-    except UnsupportedConditioningError:
-        log.warning("tail-chain residual conditioning outside support; drawing unconditionally")
-        e = kde.sample_conditional(fit.residual_kde, {}, rng, target_dims=(l - 1,))
-    return fit.alpha[l - 1] * s0 + s0 ** fit.beta[l - 1] * float(e[0])
+    return kde.run_one(tail_step(fit, recent, rng))

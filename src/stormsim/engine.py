@@ -17,24 +17,23 @@ most recent value, which is how the training tuples are built as well; the
 kernel's +-2pi replication absorbs the remaining one-period ambiguity.
 
 A storm is written once, as a generator (`_storm` over `_propagate` and
-`_vorticity`) that yields each conditional kernel draw it needs and receives
-the chosen tuple.  The batch loop `_lockstep` keeps up to BATCH_STORMS such
-storms in flight, advances each to its next draw, and serves each round's
-draws grouped by (cell model, conditioning pattern) with one grouped pick
-(`kde.pick_tuples`).  Every storm owns its random stream, keyed by (seed,
-slot, attempt), and makes the same calls on it in the same order whatever
-its batch, so a catalog is byte-identical for any batch or worker count;
-`simulate_storm`, `propagate_step`, `vorticity_step` and `replay_storm` are
-runs of the same generators in a batch of one.
+`_vorticity`, and through it `condex.tail_step`) that requests every kernel
+draw it needs through `kde.draw`.  The batch loop `kde.lockstep` runs
+`kde.BATCH_SIZE` storms at a time and serves each round's draws grouped by
+(kernel model, conditioning pattern); a draw outside its kernel's support
+falls back to a marginal draw and is counted in `draw_fallbacks`.  Every
+storm owns its random stream, keyed by (seed, slot, attempt), and makes the
+same calls on it in the same order whatever its batch, so a catalog is
+byte-identical for any batch or worker count; `simulate_storm`,
+`propagate_step`, `vorticity_step` and `replay_storm` are runs of the same
+generators in a batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
-import logging
 import math
 import types
 import typing
@@ -58,8 +57,6 @@ from .catalog import (
     wrap_angle,
 )
 from .errors import FitError, InvalidInverseError, ValidationError
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 GENESIS_ATTEMPTS = 100
@@ -413,80 +410,7 @@ def _point_in_polygon(p, polygon) -> bool:
     return inside
 
 
-DRAW_FALLBACKS = {"count": 0}  # diagnostic counter, reset freely
-# Storms one simulating process keeps in flight at once (see _lockstep)
-BATCH_STORMS = 512
-
-
-def _draw(model, key, values, rng):
-    """Conditional draw of `key` = (given dims, target dims) at `values`.
-
-    Yields the request (sampler, values, rng) and receives the tuple pick
-    from the batch loop.  A pick of None means the history has wandered
-    outside the cell kernel's numerical support (rare, after tail
-    excursions); the draw then falls back to the marginal of the targets.
-    Returns the draw: a float for one target dim, else a (t,) array.
-    """
-    s = kde.sampler(model, key)
-    picked = yield s, values, rng
-    if picked is None:
-        log.debug("conditioning outside kernel support; falling back to marginal draw")
-        draw = kde.sample_conditional(model, {}, rng, target_dims=s.target)
-        return float(draw[0]) if len(s.target) == 1 else draw
-    if len(s.target) == 1:
-        return kde.draw_scalar(model, s, values, picked, rng)
-    return kde.draw_picked(model, s, values, picked, rng)[0]
-
-
-def _lockstep(storms) -> list:
-    """Run draw-requesting generators in lock-step batches.
-
-    Every generator in flight (at most BATCH_STORMS; a finished one is
-    replaced by the next of `storms`) is resumed until it requests a conditional draw
-    (see :func:`_draw`).  The requests of a round are grouped by sampler,
-    that is by (cell model, conditioning pattern), and each group's tuples
-    are picked at once by :func:`kde.pick_tuples`.  Each generator owns its
-    random stream and makes the calls a lone run makes, in the same order,
-    so what it returns does not depend on the batch it ran in.
-
-    Returns [return value, draw fallbacks] per generator, in input order.
-    """
-    queue = iter(storms)
-    results: list = []
-    pending: list = []  # (index, generator, pick to send)
-
-    def start(gen):
-        pending.append((len(results), gen, None))
-        results.append([None, 0])
-
-    for gen in itertools.islice(queue, BATCH_STORMS):
-        start(gen)
-    while pending:
-        groups: dict = {}
-        for i, gen, picked in pending:  # grows while it is walked
-            try:
-                s, values, rng = gen.send(picked)
-            except StopIteration as stop:
-                results[i][0] = stop.value
-                nxt = next(queue, None)
-                if nxt is not None:
-                    start(nxt)
-                continue
-            groups.setdefault(s, []).append((i, gen, values, rng))
-        pending = []
-        for s, group in groups.items():
-            picks = kde.pick_tuples(s, [(values, rng) for _, _, values, rng in group])
-            for (i, gen, _, _), picked in zip(group, picks):
-                if picked is None:
-                    results[i][1] += 1
-                    DRAW_FALLBACKS["count"] += 1
-                pending.append((i, gen, picked))
-    return results
-
-
-def _run_one(gen):
-    """A lone run: the batch loop on a batch of one."""
-    return _lockstep([gen])[0][0]
+DRAW_FALLBACKS = {"count": 0}  # simulate_catalog's draw fallbacks, reset freely
 
 
 def simulate_genesis(bundle: ModelBundle, rng: np.random.Generator):
@@ -528,19 +452,16 @@ def _propagate(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_om
 
     for _ in range(PROPAGATION_ATTEMPTS):
         if n_lags:
-            theta = wrap_angle((yield from _draw(dir_model, (lags, (k,)), theta_window, rng)))
-            given = np.array(speed_lags + [theta])
-            v = yield from _draw(spd_model, (lags + (k,), (k + 1,)), given, rng)
+            theta = wrap_angle((yield from kde.draw(dir_model, (lags, (k,)), theta_window, rng)))
+            redraw = spd_model, (lags + (k,), (k + 1,)), np.array(speed_lags + [theta])
+            v = yield from kde.draw(*redraw, rng)
         else:
-            pair = yield from _draw(gen_model, ((2,), (0, 1)), np.array([genesis_omega]), rng)
+            pair = yield from kde.draw(gen_model, ((2,), (0, 1)), np.array([genesis_omega]), rng)
             v, theta = float(pair[0]), wrap_angle(float(pair[1]))
+            redraw = gen_model, ((1, 2), (0,)), np.array([theta, genesis_omega])
         if v <= 0.0:
             for _ in range(POSITIVITY_ATTEMPTS):
-                if n_lags:
-                    v = yield from _draw(spd_model, (lags + (k,), (k + 1,)), given, rng)
-                else:
-                    given = np.array([theta, genesis_omega])
-                    v = yield from _draw(gen_model, ((1, 2), (0,)), given, rng)
+                v = yield from kde.draw(*redraw, rng)
                 if v > 0.0:
                     break
             else:
@@ -566,7 +487,7 @@ def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesi
     At genesis (empty histories) the pair is redrawn from the genesis-cell
     kernel conditional on `genesis_omega` instead.
     """
-    return _run_one(_propagate(bundle, pos, theta_hist, speed_hist, rng, genesis_omega))
+    return kde.run_one(_propagate(bundle, pos, theta_hist, speed_hist, rng, genesis_omega))
 
 
 def _vorticity(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
@@ -596,7 +517,7 @@ def _vorticity(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_p
         # excess need not be a Laplace excess; the body sampler then draws
         laplace_excess = condex_mod.effective_order(s_window, bundle.condex.u_laplace, k) >= 1
         for _ in range(2 if laplace_excess else 0):  # one redraw on an invalid or sub-floor inversion
-            s_new = condex_mod.step_tail_chain(bundle.condex, s_window, rng)
+            s_new = yield from condex_mod.tail_step(bundle.condex, s_window, rng)
             w_new = float(evt.from_laplace(s_new, bundle.marginal))
             try:
                 cand = float(preprocess.from_residual(w_new, nu, bundle.preproc))
@@ -614,7 +535,7 @@ def _vorticity(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_p
         # the tracking threshold that defines the data; reflect kernel mass
         # that falls below the floor back across it (mirror boundary
         # correction), so the chain neither leaks nor piles up there
-        omega = yield from _draw(model, key, given, rng)
+        omega = yield from kde.draw(model, key, given, rng)
         if omega < floor:
             omega = 2.0 * floor - omega
         tag = "body"
@@ -643,8 +564,8 @@ def vorticity_step(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, spe
 
     Returns (omega, w, tag) where w is NaN outside the window.
     """
-    return _run_one(_vorticity(bundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
-                               laplace))
+    return kde.run_one(_vorticity(bundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
+                                  laplace))
 
 
 def _storm(bundle: ModelBundle, rng: np.random.Generator, max_age: int, hazard_region):
@@ -652,10 +573,10 @@ def _storm(bundle: ModelBundle, rng: np.random.Generator, max_age: int, hazard_r
     gen = simulate_genesis(bundle, rng)
     if gen is None:
         return None, "genesis-failure"
-    (x0, y0), v0, theta0, omega0 = gen
+    (x0, y0), _, _, omega0 = gen  # the step from genesis redraws (v0, theta0)
 
     lons, lats = [x0], [y0]
-    thetas, speeds = [theta0], [v0]
+    thetas, speeds = [], []
     omegas = [omega0]
     ws = [math.nan]
     laplace: dict[int, float] = {}  # Laplace values of the entries of ws, once mapped
@@ -685,25 +606,16 @@ def _storm(bundle: ModelBundle, rng: np.random.Generator, max_age: int, hazard_r
             cause = "max-age"
             break
 
-        if j == 0:
-            step = yield from _propagate(bundle, (lons[0], lats[0]), [], [], rng,
-                                         genesis_omega=omega0)
-            if step is not None:
-                theta0_new, v0_new, nxt = step
-                thetas[0], speeds[0] = theta0_new, v0_new
-        else:
-            step = yield from _propagate(bundle, (lons[j], lats[j]), thetas, speeds, rng)
-            if step is not None:
-                theta, v, nxt = step
-                thetas.append(theta)
-                speeds.append(v)
+        step = yield from _propagate(bundle, (lons[j], lats[j]), thetas, speeds, rng,
+                                     genesis_omega=omega0)
         if step is None:
             cause = "geographic"
             break
+        theta, v, nxt = step
+        thetas.append(theta)
+        speeds.append(v)
 
-        omega, w_val, tag = yield from _vorticity(
-            bundle, nxt, omegas, ws, thetas[j], speeds[j], rng, laplace
-        )
+        omega, w_val, tag = yield from _vorticity(bundle, nxt, omegas, ws, theta, v, rng, laplace)
         lons.append(nxt[0])
         lats.append(nxt[1])
         omegas.append(omega)
@@ -719,7 +631,7 @@ def _storm(bundle: ModelBundle, rng: np.random.Generator, max_age: int, hazard_r
     return (
         {
             "lons": lons, "lats": lats, "omegas": omegas,
-            "thetas": thetas[: n_points - 1], "speeds": speeds[: n_points - 1],
+            "thetas": thetas, "speeds": speeds,
             "tags": tags, "cause": cause,
         },
         cause,
@@ -736,7 +648,7 @@ def simulate_storm(bundle: ModelBundle, rng: np.random.Generator,
     :func:`simulate_catalog` runs in lock-step batches: the storm is the
     same either way.
     """
-    return _run_one(_storm(bundle, rng, max_age, hazard_region))
+    return kde.run_one(_storm(bundle, rng, max_age, hazard_region))
 
 
 def _build_track(sid: str, fields: dict, token: str) -> SyntheticTrack:
@@ -770,7 +682,7 @@ def _slot(bundle, seed, slot, max_age, hazard_region):
 
 def _simulate_slots(bundle, seed, slots, max_age, hazard_region) -> list:
     """[(track, cause, attempt), draw fallbacks] for each slot, in order."""
-    return _lockstep(_slot(bundle, seed, slot, max_age, hazard_region) for slot in slots)
+    return kde.lockstep(_slot(bundle, seed, slot, max_age, hazard_region) for slot in slots)
 
 
 _WORKER_STATE: dict = {}
@@ -792,7 +704,7 @@ def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
     Each accepted-storm slot draws from its own deterministic stream family
     (seed, slot, attempt), so results do not depend on the worker count.
     A process simulates its slots in lock-step batches (see
-    :func:`_lockstep`); with `workers` > 1 each pool worker takes contiguous
+    :func:`kde.lockstep`); with `workers` > 1 each pool worker takes contiguous
     ranges of slots, two per worker.  Returns (catalog, stats) where stats
     holds the termination-cause histogram, the rejected attempts and the
     draws that fell back to a marginal draw (summed in slot order; also
@@ -806,7 +718,6 @@ def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
         with Pool(processes=workers, initializer=_init_worker,
                   initargs=(bundle, seed, max_age, hazard_region)) as pool:
             results = [r for part in pool.map(_worker_run, ranges, chunksize=1) for r in part]
-        DRAW_FALLBACKS["count"] += sum(f for _, f in results)
     else:
         results = _simulate_slots(bundle, seed, range(n), max_age, hazard_region)
 
@@ -817,6 +728,7 @@ def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
         causes[cause] = causes.get(cause, 0) + 1
         rejected += attempt
         fallbacks += slot_fallbacks
+    DRAW_FALLBACKS["count"] += fallbacks
     catalog = Catalog(storms=tracks, years_of_record=n / bundle.storms_per_year)
     stats = {"causes": causes, "rejected_attempts": rejected, "draw_fallbacks": fallbacks,
              "n": n, "seed": seed}
@@ -841,8 +753,8 @@ def replay_storm(bundle: ModelBundle, token: str, max_age: int = 800, hazard_reg
 # bundle fields whose JSON key differs from the attribute name
 _RENAMED = {"bandwidth_scale": "scale", "global_model": "global", "hazard_fit": "hazard"}
 # JSON types accepted for each scalar field type.  Numbers keep their JSON
-# type, and any number passes: fit settings from a config file are not
-# type-checked, so an int field of a written bundle may hold 10.0
+# type, and any number passes: bundles written while fit settings from a
+# config file went unchecked may hold 10.0 in an int field
 _SCALARS = {float: (int, float), int: (int, float), bool: (int, float), str: str}
 
 

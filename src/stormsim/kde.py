@@ -42,10 +42,16 @@ sums as (g, n) arrays, with the arithmetic of a lone request row by row, so
 that a pick never depends on its group.  The whitening product stays one
 vector-matrix product per request, because a stacked product takes another
 BLAS kernel and rounds differently.
+
+Simulation requests its conditional draws through the generator
+:func:`draw`; :func:`lockstep`, the one loop that resumes such generators,
+serves the requests of many at once through :func:`pick_tuples`, and counts
+the draws that fall back to a marginal draw (see :func:`draw`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -716,6 +722,79 @@ def sample_conditional(
         return np.array([draw_scalar(model, s, values, picked, rng)])
     draws = draw_picked(model, s, values, picked, rng)
     return draws[0] if size is None else draws
+
+
+# Generators one process keeps in flight at once (see :func:`lockstep`)
+BATCH_SIZE = 512
+
+
+def draw(model: KdeModel, key, values, rng):
+    """Generator: the draw of `key` = (given dims, target dims) at `values`.
+
+    Yields the request (sampler, values, rng) and receives the tuple pick
+    from :func:`lockstep`.  With no pick (the values lie outside the
+    kernel's numerical support) or no given dims, the draw is one of the
+    targets' marginal.  Returns a float for one target dim, else a (t,) array.
+    """
+    s = sampler(model, key)
+    if s.given:
+        picked = yield s, values, rng
+        if picked is not None:
+            if len(s.target) == 1:
+                return draw_scalar(model, s, values, picked, rng)
+            return draw_picked(model, s, values, picked, rng)[0]
+    marginal = sample_conditional(model, {}, rng, target_dims=s.target)
+    return float(marginal[0]) if len(s.target) == 1 else marginal
+
+
+def lockstep(gens) -> list:
+    """Run generators that request draws through :func:`draw` in lock-step
+    batches.
+
+    Every generator in flight (at most BATCH_SIZE; a finished one is
+    replaced by the next of `gens`) is resumed until it requests a draw.
+    A round's requests are grouped by sampler, that is by (model,
+    conditioning pattern), and each group's tuples are picked at once by
+    :func:`pick_tuples`.  Each generator owns its random stream and makes
+    the calls a lone run makes, in the same order, so what it returns does
+    not depend on its batch.  Returns [return value, draws without a pick]
+    per generator, in input order.
+    """
+    queue = iter(gens)
+    results: list = []
+    pending: list = []  # (index, generator, pick to send)
+
+    def start(gen):
+        pending.append((len(results), gen, None))
+        results.append([None, 0])
+
+    for gen in itertools.islice(queue, BATCH_SIZE):
+        start(gen)
+    while pending:
+        groups: dict = {}
+        for i, gen, picked in pending:  # grows while it is walked
+            try:
+                s, values, rng = gen.send(picked)
+            except StopIteration as stop:
+                results[i][0] = stop.value
+                nxt = next(queue, None)
+                if nxt is not None:
+                    start(nxt)
+                continue
+            groups.setdefault(s, []).append((i, gen, values, rng))
+        pending = []
+        for s, group in groups.items():
+            picks = pick_tuples(s, [(values, rng) for _, _, values, rng in group])
+            for (i, gen, _, _), picked in zip(group, picks):
+                if picked is None:
+                    results[i][1] += 1
+                pending.append((i, gen, picked))
+    return results
+
+
+def run_one(gen):
+    """A lone run: :func:`lockstep` on a batch of one; returns the value."""
+    return lockstep([gen])[0][0]
 
 
 def conditional_density(model: KdeModel, target: dict, given: dict) -> float:

@@ -20,13 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.stats import chi2
 
 from .errors import FitError, InvalidInverseError, ValidationError
 
 LAMBDA_ZERO = 1e-8  # below this |lambda|, use the log branch
 DEFAULT_WINDOW = (-60.0, 20.0, 40.0, 80.0)  # lon_min, lon_max, lat_min, lat_max
 MIN_POINTS = 1000
+# The 95% quantile of chi-squared with 4 degrees of freedom, the 5%
+# likelihood-ratio critical value for the 4 quadratic parameters.  For 4 df
+# the survival function is exp(-x/2) (1 + x/2); its root at 0.05 is
+# 9.48772903678115675..., and the literal is scipy.stats.chi2.ppf(0.95, 4)
+# bit for bit (2 ulp below the root), so fits keep their model choice.
+CHI2_95_4DF = 9.487729036781154
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -176,7 +181,7 @@ def fit_preprocess(
     if allow_quadratic:
         lam_q, beta_q, loglik_q, cm_q, cs_q, Xs_q = fit_variant(True)
         # lon^2 and lat^2 enter both mu and log sigma: 4 extra parameters
-        if 2.0 * (loglik_q - loglik) > chi2.ppf(0.95, df=4):
+        if 2.0 * (loglik_q - loglik) > CHI2_95_4DF:
             lam, beta, loglik, col_mean, col_scale, Xs = lam_q, beta_q, loglik_q, cm_q, cs_q, Xs_q
             quadratic = True
 

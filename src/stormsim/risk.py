@@ -251,14 +251,11 @@ def cell_return_periods(catalog: Catalog, grid: GridSpec, omega: float):
     return rows
 
 
-def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all",
-                    area_weighted: bool = False):
+def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all"):
     """Normalized per-cell density of track points.
 
     `subset` selects all points, genesis (first) or lysis (last) points.
-    With `area_weighted`, counts are divided by cos(latitude) of the cell
-    centre before normalization.  Returns rows
-    (cell, lon_center, lat_center, density) summing to 1.
+    Returns rows (cell, lon_center, lat_center, density) summing to 1.
     """
     if subset not in ("all", "genesis", "lysis"):
         raise ValidationError(f"unknown subset {subset!r}")
@@ -269,17 +266,8 @@ def spatial_density(catalog: Catalog, grid: GridSpec, subset: str = "all",
         lons = np.array([s.lons[end] for s in catalog.storms])
         lats = np.array([s.lats[end] for s in catalog.storms])
     counts = cell_counts(lons, lats, grid)
-    rows = []
-    weights = {}
-    for cell, n in counts.items():
-        lon_c, lat_c = grid.cell_center(cell)
-        w = n / math.cos(math.radians(lat_c)) if area_weighted else float(n)
-        weights[cell] = (lon_c, lat_c, w)
-    total = sum(w for (_, _, w) in weights.values())
-    for cell in sorted(weights):
-        lon_c, lat_c, w = weights[cell]
-        rows.append((cell, lon_c, lat_c, w / total))
-    return rows
+    total = float(sum(counts.values()))
+    return [(cell, *grid.cell_center(cell), counts[cell] / total) for cell in sorted(counts)]
 
 
 VARIABLE_GETTERS = {

@@ -1,14 +1,17 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stormsim.catalog import load_catalog, pacf
-from stormsim.cli import main
-from stormsim.engine import load_bundle
+from stormsim.cli import _fit_config, main
+from stormsim.engine import FitConfig, load_bundle
 from stormsim.toydata import make_catalog
 
 from conftest import fast_config
@@ -281,6 +284,18 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("simulate", "simulation", "hazard_region", [[1]], "simulation.hazard_region[0]"),
     ("simulate", "simulation", "max_age", 0, "simulation.max_age must be at least 8"),
     ("fit", "diagnose", "mrl_points", 15.0, "diagnose.mrl_points must be an integer"),
+    ("fit", "fit", "k", "x", "fit.k must be an integer"),
+    ("fit", "fit", "min_cell_tuples", 10.0, "fit.min_cell_tuples must be an integer"),
+    ("fit", "fit", "grid_dlon", "x", "fit.grid_dlon must be a finite number"),
+    ("diagnose", "fit", "grid_dlon", "x", "fit.grid_dlon must be a finite number"),
+    ("fit", "fit", "gpd_threshold", float("inf"), "fit.gpd_threshold must be a finite number"),
+    ("fit", "fit", "allow_quadratic_preproc", 1, "fit.allow_quadratic_preproc must be true"),
+    ("fit", "fit", "window", [-60.0, 20.0, 40.0], "fit.window must be a list of 4 items"),
+    ("fit", "fit", "window", [-60.0, 20.0, 40.0, "80"], "fit.window[3]"),
+    ("fit", "fit", "gam_covariates", "age", "fit.gam_covariates must be a list"),
+    ("fit", "fit", "gam_covariates", ["age", 1], "fit.gam_covariates[1] must be a string"),
+    ("fit", "fit", "u_laplace", "x", "fit.u_laplace must be a finite number"),
+    ("diagnose", "fit", "censored_resolution", [0.1], "fit.censored_resolution"),
     ("fit", None, None, None, "not a JSON object"),
     ("simulate", None, None, None, "not a JSON object"),
     ("risk", None, None, None, "not a JSON object"),
@@ -301,6 +316,15 @@ def test_malformed_config_value_exit_2(workdir, tmp_path, capsys, command, secti
     assert main(argv + (["--seed", "1"] if command == "simulate" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error ({command}):") and named in err
+
+
+def test_fit_config_values_of_every_type():
+    fit = {"k": 2, "gpd_threshold": 2, "allow_quadratic_preproc": True,
+           "window": [-50, 10.0, 45.0, 75.0], "gam_covariates": ["age", "lon"],
+           "u_laplace": None, "censored_resolution": 0.01}
+    cfg = _fit_config({"fit": fit})
+    assert cfg == FitConfig(**{**fit, "window": (-50, 10.0, 45.0, 75.0),
+                               "gam_covariates": ("age", "lon")})
 
 
 def test_diagnose_density_on_the_fit_grid(workdir, tmp_path):
@@ -332,3 +356,12 @@ def test_benchmark_traced_functions_exist():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attr}"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.4 s and 20 MB of start-up per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, stormsim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

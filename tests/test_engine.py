@@ -257,6 +257,22 @@ def test_draw_fallbacks_independent_of_workers(toy_catalog):
     assert counts[0] == counts[1] > 0
 
 
+def test_tail_chain_fallbacks_counted(toy_catalog, caplog):
+    # a narrow residual kernel: the tail chain's conditioning residuals often
+    # leave its numerical support, and the residual falls back to its marginal
+    bundle = fit_all(toy_catalog, fast_config(bw_residuals=0.05))
+    counts = []
+    for workers in (1, 2):
+        before = engine.DRAW_FALLBACKS["count"]
+        with caplog.at_level("WARNING", logger="stormsim"):
+            caplog.clear()
+            _, stats = simulate_catalog(bundle, n=60, seed=1, workers=workers)
+        assert not caplog.records
+        assert engine.DRAW_FALLBACKS["count"] - before == stats["draw_fallbacks"]
+        counts.append(stats["draw_fallbacks"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_rerun_determinism_and_years(fitted_bundle):
     a, _ = simulate_catalog(fitted_bundle, n=15, seed=5)
     b, _ = simulate_catalog(fitted_bundle, n=15, seed=5)
@@ -272,7 +288,7 @@ def test_replay_reproduces_storm(fitted_bundle, toy_catalog, monkeypatch):
     events = {"positivity": 0, "retry": 0}
     eventful = fit_all(toy_catalog, fast_config(bw_speed=3.0, grid_min_count=4))
     speed_models = set(map(id, eventful.speed.models.values()))
-    draw, step = engine._draw, engine.destination_point
+    draw, step = kde.draw, engine.destination_point
 
     def counting_draw(model, key, values, rng):
         x = yield from draw(model, key, values, rng)
@@ -285,7 +301,7 @@ def test_replay_reproduces_storm(fitted_bundle, toy_catalog, monkeypatch):
         events["retry"] += grid_cell(q, eventful.grid) not in eventful.grid.active_cells
         return q
 
-    monkeypatch.setattr(engine, "_draw", counting_draw)
+    monkeypatch.setattr(kde, "draw", counting_draw)
     monkeypatch.setattr(engine, "destination_point", counting_step)
     for bundle, n, seed in [(fitted_bundle, 6, 6), (eventful, 50, 3)]:
         cat, stats = simulate_catalog(bundle, n=n, seed=seed)

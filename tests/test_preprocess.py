@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from stormsim.errors import InvalidInverseError, ValidationError
 from stormsim.preprocess import (
+    CHI2_95_4DF,
     DEFAULT_WINDOW,
     LAMBDA_ZERO,
     PreprocFit,
@@ -242,3 +243,9 @@ def test_round_trip_property(lam, log_omega, lon, lat, bearing, speed, seed):
         return
     bound = 16 * EPS * ((1.0 + abs(mu) + abs(y)) / t + 1.0 + abs(log_omega))
     assert abs(back / omega - 1.0) <= bound
+
+
+def test_quadratic_critical_value_is_scipys():
+    assert CHI2_95_4DF == chi2.ppf(0.95, 4)
+    # the closed-form 4-df survival function at the critical value
+    assert math.exp(-CHI2_95_4DF / 2) * (1 + CHI2_95_4DF / 2) == pytest.approx(0.05, rel=1e-14)

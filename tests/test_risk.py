@@ -221,8 +221,6 @@ def test_spatial_density_sums_to_one(toy_catalog):
     for subset in ("all", "genesis", "lysis"):
         rows = spatial_density(toy_catalog, grid, subset=subset)
         assert sum(r[3] for r in rows) == pytest.approx(1.0, abs=1e-12)
-    rows_w = spatial_density(toy_catalog, grid, area_weighted=True)
-    assert sum(r[3] for r in rows_w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spatial_density_matches_per_point_reference(toy_catalog):
@@ -233,12 +231,10 @@ def test_spatial_density_matches_per_point_reference(toy_catalog):
             for p in storm.points[pick]:
                 cell = grid_cell((p.lon, p.lat), grid)
                 counts[cell] = counts.get(cell, 0) + 1
-        for weighted in (False, True):
-            w = {c: n / math.cos(math.radians(grid.cell_center(c)[1])) if weighted else float(n)
-                 for c, n in counts.items()}
-            total = sum(w.values())
-            want = [(c, *grid.cell_center(c), w[c] / total) for c in sorted(w)]
-            assert spatial_density(toy_catalog, grid, subset=subset, area_weighted=weighted) == want
+        w = {c: float(n) for c, n in counts.items()}
+        total = sum(w.values())
+        want = [(c, *grid.cell_center(c), w[c] / total) for c in sorted(w)]
+        assert spatial_density(toy_catalog, grid, subset=subset) == want
 
 
 def test_spatial_density_genesis_lysis_partition(toy_catalog):
