@@ -173,9 +173,15 @@ def _fit_config(config: dict) -> engine.FitConfig:
             if isinstance(value, list):
                 overrides[field.name] = tuple(value)
     try:
-        return engine.FitConfig(**overrides)
+        fit = engine.FitConfig(**overrides)
     except TypeError as exc:
         raise ValidationError(f"bad fit config: {exc}") from exc
+    except ValidationError as exc:  # an unknown or repeated covariate
+        raise ValidationError(f"config fit.{exc}") from exc
+    for name in ("gcv_points", "gcv_sweeps"):  # 0 would search no smoothing parameter
+        if getattr(fit, name) < 1:
+            raise ValidationError(f"config fit.{name} must be at least 1, got {getattr(fit, name)}")
+    return fit
 
 
 def cmd_fit(config: dict) -> int:

@@ -31,6 +31,8 @@ generators in a batch of one.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import functools
 import json
@@ -58,7 +60,7 @@ from .catalog import (
 )
 from .errors import FitError, InvalidInverseError, ValidationError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 GENESIS_ATTEMPTS = 100
 PROPAGATION_ATTEMPTS = 10  # chances to find a trajectory into an active cell
 POSITIVITY_ATTEMPTS = 100
@@ -94,27 +96,36 @@ class FitConfig:
     gcv_sweeps: int = 2
     censored_resolution: float | None = None
 
+    def __post_init__(self):
+        # messages start with the field's name, which the CLI prefixes with "fit."
+        for i, name in enumerate(self.gam_covariates):
+            if name not in gam.DEFAULT_COVARIATES:
+                raise ValidationError(f"gam_covariates[{i}] {name!r} is not one of "
+                                      f"{', '.join(gam.DEFAULT_COVARIATES)}")
+            if name in self.gam_covariates[:i]:
+                raise ValidationError(f"gam_covariates[{i}] repeats {name!r}")
+
 
 @dataclass
 class CellKdeSet:
     """Per-cell kernel models with nearest-cell fallback assignment."""
 
     models: dict[tuple[int, int], kde.KdeModel]
-    assignment: dict[tuple[int, int], tuple[int, int] | str]
+    assignment: dict[tuple[int, int], tuple[int, int]]  # an absent cell uses global_model
     global_model: kde.KdeModel | None
 
     def __post_init__(self):
         for cell, key in self.assignment.items():
-            if key not in self.models and (key != "__global__" or self.global_model is None):
+            if key not in self.models:
                 raise ValidationError(f"cell {cell} is assigned {key!r}, which has no model")
 
     def lookup(self, cell) -> kde.KdeModel:
-        key = self.assignment.get(cell, "__global__")
-        if key == "__global__":
-            if self.global_model is None:
-                raise ValidationError(f"no kernel model available for cell {cell}")
-            return self.global_model
-        return self.models[key]
+        key = self.assignment.get(cell)
+        if key is not None:
+            return self.models[key]
+        if self.global_model is None:
+            raise ValidationError(f"no kernel model available for cell {cell}")
+        return self.global_model
 
     def counts(self) -> dict[tuple[int, int], int]:
         return {cell: model.n for cell, model in self.models.items()}
@@ -207,22 +218,20 @@ def _fit_cell_set(
         rows = np.asarray(rows, dtype=float)
         if len(rows) >= max(min_tuples, 1):
             models[cell] = fit(rows)
-    global_model = fit(all_rows) if not models else None
+    if not models:  # no cell has enough tuples: every cell uses one global model
+        return CellKdeSet(models={}, assignment={}, global_model=fit(all_rows))
 
     assignment: dict = {}
-    eligible = list(models)
-    centers = {c: grid.cell_center(c) for c in eligible}
+    centers = {c: grid.cell_center(c) for c in models}
     for cell in grid.active_cells:
         if cell in models:
             assignment[cell] = cell
-        elif eligible:
+        else:
             assignment[cell] = min(
-                eligible,
+                models,
                 key=lambda c: great_circle_distance(grid.cell_center(cell), centers[c]),
             )
-        else:
-            assignment[cell] = "__global__"
-    return CellKdeSet(models=models, assignment=assignment, global_model=global_model)
+    return CellKdeSet(models=models, assignment=assignment, global_model=None)
 
 
 def _arrival_covariates(storm: StormTrack):
@@ -764,22 +773,25 @@ def _fields(cls) -> tuple:
 
     Fields whose names start with '_' are lazily built caches and are skipped.
     """
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return tuple(
         (f.name, _RENAMED.get(f.name, f.name), hints[f.name])
         for f in dataclasses.fields(cls) if not f.name.startswith("_")
     )
 
 
-def _encode(value):
-    """JSON form of a bundle value.
+def _encode(value, hint=None):
+    """JSON form of a bundle value held in a field of type `hint`.
 
-    Dataclasses become objects, arrays nested lists, tuples lists, frozensets
-    sorted lists and slices [start, stop]; a cell index used as a dict key or
-    value becomes the string "i,j".
+    Dataclasses become objects, a `kde.PackedMatrix` field a packed object
+    (see `_pack`), other arrays nested lists, tuples lists, frozensets sorted
+    lists and slices [start, stop]; a cell index used as a dict key or value
+    becomes the string "i,j".
     """
+    if hint == kde.PackedMatrix:
+        return _pack(value)
     if dataclasses.is_dataclass(value):
-        return {key: _encode(getattr(value, name)) for name, key, _ in _fields(type(value))}
+        return {key: _encode(getattr(value, name), h) for name, key, h in _fields(type(value))}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
@@ -797,11 +809,42 @@ def _encode_in_dict(value):
     return f"{value[0]},{value[1]}" if isinstance(value, tuple) else _encode(value)
 
 
+def _pack(matrix: np.ndarray) -> dict:
+    """{"base64": the matrix's little-endian float64 bytes, "shape": [n, d]}."""
+    data = np.ascontiguousarray(matrix, dtype="<f8")
+    return {"base64": base64.b64encode(data.tobytes()).decode("ascii"),
+            "shape": list(data.shape)}
+
+
+def _unpack(value) -> np.ndarray:
+    """Inverse of `_pack`: a new, writeable, C-contiguous float64 matrix."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a packed matrix object, got {value!r:.40}")
+    data, shape = value["base64"], value["shape"]
+    if not isinstance(data, str):
+        raise TypeError(f"packed matrix base64 must be a string, got {data!r:.40}")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"packed matrix shape must be two non-negative integers, got {shape!r:.40}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"packed matrix base64 is not valid: {exc}") from exc
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"packed matrix holds {len(raw)} bytes, not 8 x {shape[0]} x {shape[1]}")
+    matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(matrix).all():
+        raise ValueError("packed matrix holds a value that is not finite")
+    return matrix
+
+
 def _decode(hint, value):
     """Rebuild a value of type `hint` from its JSON form (inverse of _encode).
 
     Dataclasses are rebuilt through their constructors, so their checks run.
     """
+    if hint == kde.PackedMatrix:
+        return _unpack(value)
     if dataclasses.is_dataclass(hint):
         return hint(**{name: _decode(h, value[key]) for name, key, h in _fields(hint)})
     if hint in _SCALARS:
@@ -861,7 +904,8 @@ def bundle_from_json(text: str) -> ModelBundle:
         raise ValidationError("bundle is not a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValidationError(f"bundle schema version {version} != {SCHEMA_VERSION}")
+        raise ValidationError(f"bundle schema version {version} is not {SCHEMA_VERSION}; "
+                              "refit it from its catalog with `stormsim fit`")
     parts = {}
     for name, key, hint in _fields(ModelBundle):
         if key not in doc:

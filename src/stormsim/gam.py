@@ -33,7 +33,7 @@ from .errors import FitError, SeparationError, ValidationError
 log = logging.getLogger(__name__)
 
 MIN_AGE = 8  # first age (in 3-hourly steps, 1-based) at which termination can occur
-DEFAULT_COVARIATES = ("vorticity", "drop", "age", "lon", "lat")
+DEFAULT_COVARIATES = ("vorticity", "drop", "age", "lon", "lat")  # all that storm_rows makes
 SEPARATION_LIMIT = 50.0
 REFIT_CANDIDATES = 3  # grid values per smooth and sweep refitted by full IRLS
 

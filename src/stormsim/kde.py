@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -63,6 +64,10 @@ from .errors import SingularBandwidthError, UnsupportedConditioningError, Valida
 TWO_PI = 2.0 * math.pi
 _LOG_TINY = math.log(1e-300)
 _LOG_2PI = math.log(TWO_PI)
+
+# An n x d float64 matrix that the bundle codec writes packed, as base64 of
+# its little-endian bytes with its shape, not as nested JSON lists.
+PackedMatrix = Annotated[np.ndarray, "packed float64 matrix"]
 
 
 @dataclass
@@ -76,7 +81,7 @@ class KdeModel:
     built cache only.
     """
 
-    samples: np.ndarray
+    samples: PackedMatrix
     bandwidth: np.ndarray
     bandwidth_scale: float = 1.0
     structure: str = "oriented"

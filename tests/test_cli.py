@@ -1,3 +1,4 @@
+import base64
 import importlib
 import importlib.util
 import json
@@ -198,12 +199,36 @@ def _bundle_variants(text):
     doc = json.loads(text)
     hazard = doc["hazard"]
     no_grid = {k: v for k, v in doc.items() if k != "grid"}
+    packed = doc["genesis_location"]["samples"]
+    n, d = packed["shape"]
+    raw = base64.b64decode(packed["base64"])
+
+    def with_samples(**fields):
+        samples = {**packed, **fields}
+        return json.dumps({**doc, "genesis_location": {**doc["genesis_location"],
+                                                       "samples": samples}})
+
+    def with_value(value):
+        data = np.frombuffer(raw, dtype="<f8").copy()
+        data[1] = value
+        return with_samples(base64=base64.b64encode(data.tobytes()).decode())
+
     return {
         "truncated": (text[: len(text) // 2], "not valid JSON"),
         "not-json": ("this is not a bundle\n", "not valid JSON"),
         "missing-grid": (json.dumps(no_grid), "'grid'"),
         "invalid-grid": (json.dumps({**doc, "grid": {**doc["grid"], "dlon": None}}), "'grid'"),
         "wrong-version": (json.dumps({**doc, "schema_version": 99}), "schema version 99"),
+        "version-1": (json.dumps({**doc, "schema_version": 1}), "refit it from its catalog with"),
+        "packed-not-string": (with_samples(base64=[1.0, 2.0]), "'genesis_location'"),
+        "packed-bad-base64": (with_samples(base64="not base64!"), "'genesis_location'"),
+        "packed-byte-count": (with_samples(shape=[n + 1, d]), "'genesis_location'"),
+        "packed-shape-1d": (with_samples(shape=[n * d]), "'genesis_location'"),
+        "packed-shape-negative": (with_samples(shape=[-n, -d]), "'genesis_location'"),
+        "packed-shape-float": (with_samples(shape=[float(n), d]), "'genesis_location'"),
+        "packed-empty": (with_samples(base64="", shape=[0, d]), "'genesis_location'"),
+        "packed-nan": (with_value(float("nan")), "'genesis_location'"),
+        "packed-inf": (with_value(-float("inf")), "'genesis_location'"),
         "empty-kernel-samples": (json.dumps(
             {**doc, "genesis_location": {**doc["genesis_location"], "samples": []}}),
             "'genesis_location'"),
@@ -234,7 +259,11 @@ def _bundle_variants(text):
 
 
 @pytest.mark.parametrize("variant", ["truncated", "not-json", "missing-grid", "invalid-grid",
-                                     "wrong-version", "empty-kernel-samples", "bandwidth-shape",
+                                     "wrong-version", "version-1", "packed-not-string",
+                                     "packed-bad-base64", "packed-byte-count", "packed-shape-1d",
+                                     "packed-shape-negative", "packed-shape-float",
+                                     "packed-empty", "packed-nan", "packed-inf",
+                                     "empty-kernel-samples", "bandwidth-shape",
                                      "no-hazard-bases", "hazard-coef-count",
                                      "hazard-constraint-shape", "hazard-slice-width",
                                      "hazard-too-few-knots", "condex-alpha-empty",
@@ -296,6 +325,12 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("fit", "fit", "gam_covariates", ["age", 1], "fit.gam_covariates[1] must be a string"),
     ("fit", "fit", "u_laplace", "x", "fit.u_laplace must be a finite number"),
     ("diagnose", "fit", "censored_resolution", [0.1], "fit.censored_resolution"),
+    ("fit", "fit", "gam_covariates", ["x"], "fit.gam_covariates[0] 'x' is not one of"),
+    ("diagnose", "fit", "gam_covariates", ["age", "x"], "fit.gam_covariates[1] 'x'"),
+    ("fit", "fit", "gam_covariates", ["age", "lon", "age"], "fit.gam_covariates[2] repeats"),
+    ("fit", "fit", "gcv_points", 0, "fit.gcv_points must be at least 1"),
+    ("fit", "fit", "gcv_points", -3, "fit.gcv_points must be at least 1"),
+    ("fit", "fit", "gcv_sweeps", 0, "fit.gcv_sweeps must be at least 1"),
     ("fit", None, None, None, "not a JSON object"),
     ("simulate", None, None, None, "not a JSON object"),
     ("risk", None, None, None, "not a JSON object"),

@@ -1,8 +1,13 @@
+import base64
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
 from stormsim import engine, evt, gam, kde
@@ -58,7 +63,7 @@ def test_bundle_composition(fitted_bundle):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"min_cell_tuples": 10**6},  # no cell has its own model: every cell on "__global__"
+    {"min_cell_tuples": 10**6},  # no cell has its own model: no cell assigned, all global
     {"grid_dlon": 8},  # an int-valued grid size stays an int
 ], ids=["default", "all-global", "int-dlon"])
 def test_fit_deterministic_and_serialization_round_trip(overrides):
@@ -69,6 +74,11 @@ def test_fit_deterministic_and_serialization_round_trip(overrides):
     assert a == b
     restored = bundle_from_json(a)
     assert bundle_to_json(restored) == a
+    if "min_cell_tuples" in overrides:
+        cells = restored.direction
+        assert cells.models == {} and cells.assignment == {}
+        for cell in restored.grid.active_cells:
+            assert cells.lookup(cell) is cells.global_model
 
 
 def test_single_storm_catalog_insufficient():
@@ -411,8 +421,6 @@ def test_tail_chain_without_laplace_excess_uses_body(toy_catalog):
 
 
 def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
-    import json
-
     doc = json.loads(bundle_to_json(fitted_bundle))
     del doc["marginal"]["gpd"]["shape"]
     with pytest.raises(ValidationError, match="'marginal' is missing 'shape'"):
@@ -420,14 +428,17 @@ def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
 
 
 def test_bundle_json_layout(fitted_bundle):
-    import json
-
     doc = json.loads(bundle_to_json(fitted_bundle))
     assert "hazard" in doc and "hazard_fit" not in doc
     assert set(doc["direction"]) == {"models", "assignment", "global"}
     # the lazily built sampler cache (_samplers) is not written
     assert set(doc["genesis_location"]) == {"samples", "bandwidth", "scale", "structure",
                                             "circular_dims"}
+    samples = fitted_bundle.genesis_location.samples
+    assert doc["genesis_location"]["samples"] == {
+        "base64": base64.b64encode(samples.astype("<f8").tobytes()).decode(),
+        "shape": list(samples.shape),
+    }
     cell, target = next(iter(doc["direction"]["assignment"].items()))
     assert target in doc["direction"]["models"] and len(cell.split(",")) == 2
     assert doc["grid"]["active_cells"] == sorted(map(list, fitted_bundle.grid.active_cells))
@@ -436,6 +447,17 @@ def test_bundle_json_layout(fitted_bundle):
 
 def _first_cell(cell_set):
     return sorted(cell_set["assignment"])[0]
+
+
+def _mangle_samples(doc, **fields):
+    doc["genesis_location"]["samples"].update(fields)
+
+
+def _set_first_sample(doc, value):
+    packed = next(iter(doc["direction"]["models"].values()))["samples"]
+    data = np.frombuffer(base64.b64decode(packed["base64"]), dtype="<f8").copy()
+    data[0] = value
+    packed["base64"] = base64.b64encode(data.tobytes()).decode()
 
 
 @pytest.mark.parametrize("field, mangle", [
@@ -449,15 +471,52 @@ def _first_cell(cell_set):
     ("genesis_location", lambda d: d["genesis_location"].__setitem__("bandwidth", [[1.0]])),
     ("hazard", lambda d: d["hazard"].__setitem__("bases", [])),
     ("hazard", lambda d: d["hazard"].__setitem__("coef", [0.0])),
+    ("genesis_location", lambda d: _mangle_samples(d, base64=12)),
+    ("genesis_location", lambda d: _mangle_samples(d, base64="*" * 16)),
+    ("genesis_location", lambda d: _mangle_samples(d, base64="AAAAAAAAAAA=")),
+    ("genesis_location", lambda d: _mangle_samples(d, shape=[2])),
+    ("genesis_location", lambda d: _mangle_samples(d, shape=[-1, 2])),
+    ("genesis_location", lambda d: _mangle_samples(d, shape=[1, True])),
+    ("genesis_location", lambda d: _mangle_samples(d, shape=None)),
+    ("genesis_location", lambda d: _mangle_samples(d, base64="", shape=[0, 2])),
+    ("direction", lambda d: _set_first_sample(d, float("nan"))),
+    ("direction", lambda d: _set_first_sample(d, float("inf"))),
 ], ids=["unknown-assignment", "assigned-model-missing", "string-number", "null-array",
-        "empty-kernel-samples", "bandwidth-shape", "no-hazard-bases", "hazard-coef-count"])
+        "empty-kernel-samples", "bandwidth-shape", "no-hazard-bases", "hazard-coef-count",
+        "packed-not-string", "packed-bad-base64", "packed-byte-count", "packed-shape-1d",
+        "packed-shape-negative", "packed-shape-bool", "packed-shape-null", "packed-empty",
+        "packed-nan", "packed-inf"])
 def test_bundle_from_json_rejects_mangled_values(fitted_bundle, field, mangle):
-    import json
-
     doc = json.loads(bundle_to_json(fitted_bundle))
     mangle(doc)
     with pytest.raises(ValidationError, match=f"bundle field '{field}' is invalid"):
         bundle_from_json(json.dumps(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_packed_matrix_round_trips_bit_for_bit(matrix):
+    edge = np.array([-0.0, 5e-324, -2.2250738585072e-308, np.finfo(float).max,
+                     -np.finfo(float).max, 0.0])
+    for m in (matrix, edge.reshape(3, 2), edge.reshape(1, 6)[:, ::-1]):
+        back = engine._decode(kde.PackedMatrix, json.loads(json.dumps(
+            engine._encode(m, kde.PackedMatrix))))
+        assert back.dtype == np.float64 and back.shape == m.shape
+        assert back.tobytes() == np.ascontiguousarray(m).tobytes()
+        assert back.flags.c_contiguous and back.flags.writeable
+
+
+def test_fields_the_benchmark_reads_stay_json_lists(fitted_bundle):
+    # perfbench's checks read these as nested lists; only kernel samples are packed
+    doc = json.loads(bundle_to_json(fitted_bundle))
+    p, h = doc["preproc"], doc["hazard"]
+    lists = [p["mu_coef"], p["sigma_coef"], p["col_mean"], p["col_scale"], h["coef"],
+             h["constraints"], h["slices"], doc["grid"]["active_cells"],
+             *(basis["knots"] for basis in h["bases"])]
+    for value in lists:
+        assert isinstance(value, list) and value
+        assert all(isinstance(v, (list, int, float)) for v in value)
 
 
 def test_warm_caches_do_not_change_a_slot(fitted_bundle):
