@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
@@ -493,18 +493,21 @@ def test_bundle_from_json_rejects_mangled_values(fitted_bundle, field, mangle):
         bundle_from_json(json.dumps(doc))
 
 
+_EDGE_FLOATS = np.array([-0.0, 5e-324, -2.2250738585072e-308, np.finfo(float).max,
+                         -np.finfo(float).max, 0.0])  # signed zero, subnormals, +-max
+
+
 @settings(max_examples=60, deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(_EDGE_FLOATS.reshape(3, 2))
+@example(_EDGE_FLOATS.reshape(1, 6)[:, ::-1])  # not C-contiguous
 def test_packed_matrix_round_trips_bit_for_bit(matrix):
-    edge = np.array([-0.0, 5e-324, -2.2250738585072e-308, np.finfo(float).max,
-                     -np.finfo(float).max, 0.0])
-    for m in (matrix, edge.reshape(3, 2), edge.reshape(1, 6)[:, ::-1]):
-        back = engine._decode(kde.PackedMatrix, json.loads(json.dumps(
-            engine._encode(m, kde.PackedMatrix))))
-        assert back.dtype == np.float64 and back.shape == m.shape
-        assert back.tobytes() == np.ascontiguousarray(m).tobytes()
-        assert back.flags.c_contiguous and back.flags.writeable
+    back = engine._decode(kde.PackedMatrix, json.loads(json.dumps(
+        engine._encode(matrix, kde.PackedMatrix))))
+    assert back.dtype == np.float64 and back.shape == matrix.shape
+    assert back.tobytes() == np.ascontiguousarray(matrix).tobytes()
+    assert back.flags.c_contiguous and back.flags.writeable
 
 
 def test_fields_the_benchmark_reads_stay_json_lists(fitted_bundle):
