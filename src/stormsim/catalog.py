@@ -10,6 +10,7 @@ pi/2 = due east).  All geometry treats the Earth as a sphere of radius
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import logging
@@ -233,6 +234,29 @@ class Catalog:
         )
 
 
+@contextlib.contextmanager
+def _reading(path, what: str):
+    """Raise ValidationError naming the input file (`what` at `path`) when
+    it is a directory, cannot be read, or is not UTF-8 text."""
+    try:
+        yield
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 input file `path` (`what` names it in errors).
+
+    Raises:
+        ValidationError: `path` is a directory, cannot be read, or is not
+            UTF-8 text.
+    """
+    with _reading(path, what), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_catalog(path, years_of_record: float | None = None) -> Catalog:
     """Load a track catalog from CSV.
 
@@ -245,14 +269,15 @@ def load_catalog(path, years_of_record: float | None = None) -> Catalog:
 
     Raises:
         ParseError: malformed row (reported with its line number).
-        ValidationError: duplicate or non-contiguous time indices, bad or
-            non-finite coordinates, non-positive or non-finite vorticity, or
-            no usable storms.
+        ValidationError: a directory, unreadable or non-UTF-8 file,
+            duplicate or non-contiguous time indices, bad or non-finite
+            coordinates, non-positive or non-finite vorticity, or no usable
+            storms.
     """
     rows: dict[str, dict[int, tuple[float, float, float]]] = {}
     header: list[str] | None = None
     col: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path, "catalog"), open(path, newline="", encoding="utf-8") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
             if not raw:
                 continue

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, evt, gam, risk
-from .catalog import MIN_TRACK_POINTS, build_grid, load_catalog, pacf
+from .catalog import MIN_TRACK_POINTS, build_grid, load_catalog, pacf, read_text
 from .errors import FitError, StormError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
-        user = json.loads(p.read_text(encoding="utf-8"))
+        user = json.loads(read_text(p, "config"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
@@ -147,6 +147,25 @@ def _write_csv(path: Path, header: list[str], rows, config: dict, extra_comments
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s (%d rows)", path, len(rows))
+
+
+def _output_dir(config: dict) -> Path:
+    """The output directory, made with its parents if missing."""
+    out_dir = Path(config["paths"]["output_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"output_dir {out_dir} is not a directory") from exc
+    return out_dir
+
+
+def _output_file(out_dir: Path, name: str, key: str) -> Path:
+    """`out_dir / name`, the output named by config paths.`key`, which must
+    not be a directory."""
+    path = out_dir / name
+    if path.is_dir():
+        raise ValidationError(f"{key} path {path} is a directory")
+    return path
 
 
 def _require_catalog(config: dict, key: str = "catalog"):
@@ -187,10 +206,9 @@ def _fit_config(config: dict) -> engine.FitConfig:
 def cmd_fit(config: dict) -> int:
     catalog = _require_catalog(config)
     fit_cfg = _fit_config(config)
+    out_dir = _output_dir(config)
+    bundle_path = _output_file(out_dir, config["paths"]["bundle"], "bundle")
     bundle = engine.fit_all(catalog, fit_cfg)
-    out_dir = Path(config["paths"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundle_path = out_dir / config["paths"]["bundle"]
     engine.save_bundle(bundle, bundle_path)
 
     report_path = out_dir / "fit_report.txt"
@@ -228,21 +246,23 @@ def cmd_simulate(config: dict) -> int:
     sim = config["simulation"]
     if sim.get("seed") is None:
         raise ValidationError("simulate requires an explicit seed (--seed or simulation.seed)")
+    if sim["workers"] < 1:
+        raise ValidationError(f"config simulation.workers must be at least 1, got {sim['workers']}")
     bundle_path = Path(config["paths"]["output_dir"]) / config["paths"]["bundle"]
     if not bundle_path.exists():
         bundle_path = Path(config["paths"]["bundle"])
     if not bundle_path.exists():
         raise ValidationError(f"bundle not found: {bundle_path}")
     bundle = engine.load_bundle(bundle_path)
+    out_dir = _output_dir(config)
+    out_path = _output_file(out_dir, config["paths"].get("simulated") or "simulated.csv",
+                            "simulated")
     region = sim.get("hazard_region")
     catalog, stats = engine.simulate_catalog(
         bundle, n=int(sim["n_storms"]), seed=int(sim["seed"]),
         workers=int(sim.get("workers", 1)), max_age=int(sim.get("max_age", 800)),
         hazard_region=[tuple(p) for p in region] if region else None,
     )
-    out_dir = Path(config["paths"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (config["paths"].get("simulated") or "simulated.csv")
     _write_simulated(catalog, stats, out_path, config)
     causes = " ".join(f"{k}={v}" for k, v in sorted(stats["causes"].items()))
     print(f"simulated {stats['n']} storms (seed {stats['seed']}): {causes}; "
@@ -260,8 +280,7 @@ def _risk_catalog(config: dict):
 def cmd_risk(config: dict) -> int:
     catalog = _risk_catalog(config)
     rcfg = config["risk"]
-    out_dir = Path(config["paths"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     seed = int(rcfg.get("seed", 0))
     n_boot = int(rcfg["bootstrap_b"])
 
@@ -318,8 +337,7 @@ def cmd_risk(config: dict) -> int:
 def cmd_diagnose(config: dict) -> int:
     catalog = _require_catalog(config)
     dcfg = config["diagnose"]
-    out_dir = Path(config["paths"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
 
     # per-variable PACF averaged over storms long enough for the lag window
     max_lag = int(dcfg["pacf_max_lag"])

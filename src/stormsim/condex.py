@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kde
 from .errors import FitError, InsufficientTailError, SingularBandwidthError, ValidationError
@@ -91,6 +90,8 @@ _STARTS = [(0.5, 0.5), (0.9, 0.1), (0.1, 0.9), (-0.5, 0.5), (0.0, 0.0), (0.99, 0
 
 
 def _fit_lag(x, y):
+    from scipy.optimize import minimize
+
     log_x = np.log(x)
     best = None
     for s in _STARTS:

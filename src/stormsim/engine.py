@@ -37,6 +37,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from .catalog import (
     destination_point,
     grid_cell,
     great_circle_distance,
+    read_text,
     wrap_angle,
 )
 from .errors import FitError, InvalidInverseError, ValidationError
@@ -706,6 +708,21 @@ def _worker_run(slots):
     return _simulate_slots(bundle, seed, slots, max_age, hazard_region)
 
 
+def _build_tables(bundle: ModelBundle) -> None:
+    """Build the lazily built tables that every storm reads (the marginal's
+    body CDF table and the hazard's effect tables), so that pool workers
+    forked afterwards share them instead of each building its own."""
+    evt._body_table(bundle.marginal)
+    bundle.hazard_fit._effect_tables()
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
                      max_age: int = 800, hazard_region=None):
     """Simulate exactly `n` accepted storms.
@@ -713,14 +730,17 @@ def simulate_catalog(bundle: ModelBundle, n: int, seed: int, workers: int = 1,
     Each accepted-storm slot draws from its own deterministic stream family
     (seed, slot, attempt), so results do not depend on the worker count.
     A process simulates its slots in lock-step batches (see
-    :func:`kde.lockstep`); with `workers` > 1 each pool worker takes contiguous
-    ranges of slots, two per worker.  Returns (catalog, stats) where stats
-    holds the termination-cause histogram, the rejected attempts and the
-    draws that fell back to a marginal draw (summed in slot order; also
-    added to :data:`DRAW_FALLBACKS`).
+    :func:`kde.lockstep`); with `workers` > 1 a pool of at most `workers`
+    processes (and no more than there are storms or usable CPUs) takes
+    contiguous ranges of slots, two per process.  Returns (catalog, stats)
+    where stats holds the termination-cause histogram, the rejected attempts
+    and the draws that fell back to a marginal draw (summed in slot order;
+    also added to :data:`DRAW_FALLBACKS`).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 storms, got {n}")
+    _build_tables(bundle)
+    workers = min(workers, n, _cpu_count())
     if workers > 1:
         size = -(-n // (2 * workers))
         ranges = [range(start, min(start + size, n)) for start in range(0, n, size)]
@@ -925,8 +945,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_json(fh.read())
+    return bundle_from_json(read_text(path, "bundle"))
 
 
 def fit_report(bundle: ModelBundle, stats: dict | None = None) -> str:

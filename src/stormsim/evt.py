@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kde
 from .errors import FitError, InsufficientTailError, ValidationError
@@ -152,6 +151,8 @@ def fit_gpd(
         InsufficientTailError: fewer than 30 exceedances.
         FitError: the optimizer failed to converge from every start.
     """
+    from scipy.optimize import minimize
+
     z = np.asarray(data, dtype=float)
     if z.ndim != 1:
         raise ValidationError("fit_gpd expects a 1-D series")

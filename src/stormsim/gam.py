@@ -15,6 +15,10 @@ sum of smooth effects afterwards.  Simulation evaluates it one point at a
 time, from per-smooth piecewise-cubic tables built lazily from the fitted
 coefficients (bisection for the knot interval, then Horner, with the same
 linear tails); :meth:`GamFit.smooth_effect` remains the reference.
+
+scipy is imported inside the functions that call it (the B-splines in the
+bases and effect tables, ``expit`` in the fit and the hazard), so importing
+this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -23,12 +27,14 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import BSpline, PPoly
-from scipy.special import expit
 
 from .errors import FitError, SeparationError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 log = logging.getLogger(__name__)
 
@@ -69,6 +75,8 @@ class SplineBasis:
 
     def _edge_rows(self):
         if not self._edge:
+            from scipy.interpolate import BSpline
+
             a, b = self.bounds
             eye = np.eye(self.size)
             val = BSpline.design_matrix(np.array([a, b]), self.knots, self.degree).toarray()
@@ -80,6 +88,8 @@ class SplineBasis:
         return self._edge
 
     def design(self, x) -> np.ndarray:
+        from scipy.interpolate import BSpline
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, b = self.bounds
         M = BSpline.design_matrix(np.clip(x, a, b), self.knots, self.degree).toarray()
@@ -271,6 +281,8 @@ class GamFit:
         # s_i(x) = B(x) @ (Z @ coef): one spline with combined coefficients
         sp = self._splines.get(i)
         if sp is None:
+            from scipy.interpolate import BSpline
+
             c = self.constraints[i] @ self.coef[self.slices[i]]
             sp = BSpline(self.bases[i].knots, c, self.bases[i].degree, extrapolate=False)
             self._splines[i] = sp
@@ -295,6 +307,8 @@ class GamFit:
         return out
 
     def _effect_table(self, i: int) -> _EffectTable:
+        from scipy.interpolate import PPoly
+
         basis = self.bases[i]
         a, b = basis.bounds
         pp = PPoly.from_spline(self._effect_spline(i))
@@ -353,6 +367,8 @@ def _deviance(y, p):
 
 
 def _dev_at(X, y, beta):
+    from scipy.special import expit
+
     return _deviance(y, expit(np.clip(X @ beta, -30.0, 30.0)))
 
 
@@ -362,6 +378,8 @@ def _penalized_dev(X, y, S, beta):
 
 def _working(X, y, beta):
     """X^T W X and X^T W z for the IRLS working weights and response at beta."""
+    from scipy.special import expit
+
     eta = np.clip(X @ beta, -30.0, 30.0)
     p = expit(eta)
     w = np.maximum(p * (1.0 - p), 1e-10)
@@ -508,6 +526,8 @@ def hazard(fit: GamFit, covariates: dict, age: float) -> float:
     """
     if age < fit.min_age:
         return 0.0
+    from scipy.special import expit
+
     values = dict(covariates)
     if "age" in fit.covariates:
         values["age"] = float(age)

@@ -47,6 +47,10 @@ Simulation requests its conditional draws through the generator
 :func:`draw`; :func:`lockstep`, the one loop that resumes such generators,
 serves the requests of many at once through :func:`pick_tuples`, and counts
 the draws that fall back to a marginal draw (see :func:`draw`).
+
+scipy is imported inside the functions that call it (``ndtr`` in the CDFs,
+``logsumexp`` in the densities and weights), so importing this module, and
+a command that never calls them, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .errors import SingularBandwidthError, UnsupportedConditioningError, ValidationError
 
@@ -261,12 +264,16 @@ def density(model: KdeModel, z, dims=None) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (len(dims),):
         raise ValidationError(f"point shape {z.shape} does not match dims {dims}")
+    from scipy.special import logsumexp
+
     logk = _log_kernels(model, dims, z)
     return float(np.exp(logsumexp(logk) - math.log(model.n)))
 
 
 def cdf_1d(model: KdeModel, z):
     """Kernel CDF of a 1-D non-circular model, vectorized over z."""
+    from scipy.special import ndtr
+
     if model.d != 1 or model.circular_dims:
         raise ValidationError("cdf_1d requires a 1-D non-circular model")
     h = math.sqrt(model.bandwidth[0, 0])
@@ -390,6 +397,8 @@ def cdf_table(model: KdeModel, lo: float, hi: float) -> CdfTable:
     summed, so each log is exact where its argument is small.  Nodes are
     processed in blocks so no temporary exceeds about 64k kernel terms.
     """
+    from scipy.special import ndtr
+
     if model.d != 1 or model.circular_dims:
         raise ValidationError("cdf_table requires a 1-D non-circular model")
     if not lo < hi:
@@ -445,6 +454,8 @@ def conditional_weights(model: KdeModel, given: dict) -> tuple[np.ndarray, np.nd
     Returns (weights, evaluation rows); the rows are the replicated set
     [original, +shift, -shift] when a circular dimension is conditioned on.
     """
+    from scipy.special import logsumexp
+
     dims, values = _split_given(model, given)
     logw = _log_kernels(model, dims, values)
     _check_support(logw, values)
@@ -813,6 +824,8 @@ def conditional_density(model: KdeModel, target: dict, given: dict) -> float:
     Raises:
         UnsupportedConditioningError: all marginal kernels underflow.
     """
+    from scipy.special import logsumexp
+
     gdims, gvalues = _split_given(model, given)
     tdims, _ = _split_given(model, target)
     if set(gdims) & set(tdims):

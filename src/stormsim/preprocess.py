@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import FitError, InvalidInverseError, ValidationError
 
@@ -98,6 +97,8 @@ def _core_nll_grad(beta, y, X):
 
 
 def _fit_core(y, X, start=None):
+    from scipy.optimize import minimize
+
     p = X.shape[1]
     if start is None:
         bmu, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -113,6 +114,8 @@ def _fit_core(y, X, start=None):
 
 
 def _fit_lambda_profile(omega, X, bounds=(-2.0, 3.0)):
+    from scipy.optimize import minimize_scalar
+
     log_j = float(np.sum(np.log(omega)))  # Jacobian: (lam - 1) * sum(log omega)
     warm = {"beta": None}
 

@@ -308,6 +308,8 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("risk", "risk", "regions", [{"lon_max": 2.0, "lat_min": 50.0, "lat_max": 60.0}],
      "risk.regions[0] is missing 'lon_min'"),
     ("simulate", "simulation", "workers", "2", "simulation.workers"),
+    ("simulate", "simulation", "workers", 0, "simulation.workers must be at least 1"),
+    ("simulate", "simulation", "workers", -2, "simulation.workers must be at least 1"),
     ("simulate", "simulation", "max_age", "x", "simulation.max_age"),
     ("simulate", "simulation", "n_storms", "x", "simulation.n_storms"),
     ("simulate", "simulation", "hazard_region", [[1]], "simulation.hazard_region[0]"),
@@ -400,3 +402,66 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about 0.4 s and 50 MB of start-up; each command imports
+    # the parts it calls when it calls them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, stormsim, stormsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_risk_runs_without_scipy(workdir, tmp_path):
+    root, _ = workdir
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["risk", "--catalog", str(root / "catalog.csv"), "--output-dir", str(tmp_path)]
+    code = ("import sys; from stormsim import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "cell_return_periods.csv").exists()
+
+
+def _unreadable_cases(root, tmp_path):
+    """(argv, named) of each command pointed at a directory, a non-UTF-8
+    file or an output directory that is a file."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes(b"storm_id,time_index,lon,lat,vorticity\n\xe9t\xe9,0,1.0,50.0,2.0\n")
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = ["--output-dir", str(tmp_path / "out")]
+    catalog, bundle = str(root / "catalog.csv"), str(root / "bundle.json")
+    simulate = ["simulate", "--seed", "1", "--bundle", bundle]
+    cases = []
+    for command in ("fit", "risk", "diagnose"):
+        cases += [([command, "--catalog", str(folder), *out], "catalog"),
+                  ([command, "--catalog", str(latin), *out], "not UTF-8"),
+                  ([command, "--config", str(folder), "--catalog", catalog], "config"),
+                  ([command, "--config", str(latin), "--catalog", catalog], "not UTF-8"),
+                  ([command, "--catalog", catalog, "--output-dir", str(afile)], "output_dir")]
+    for command in ("risk", "diagnose"):
+        cases.append(([command, "--catalog", catalog, "--simulated", str(folder), *out],
+                      "catalog"))
+    cases += [(["simulate", "--seed", "1", "--bundle", str(folder), *out], "bundle"),
+              (["simulate", "--seed", "1", "--bundle", str(latin), *out], "not UTF-8"),
+              ([*simulate, "--config", str(folder)], "config"),
+              ([*simulate, "--output-dir", str(afile)], "output_dir"),
+              ([*simulate, "--output-dir", str(tmp_path), "--simulated", "folder"],
+               "simulated path"),
+              (["fit", "--catalog", catalog, "--output-dir", str(tmp_path), "--bundle", "folder"],
+               "bundle path")]
+    return cases
+
+
+def test_unreadable_paths_exit_2(workdir, tmp_path, capsys):
+    root, _ = workdir
+    for argv, named in _unreadable_cases(root, tmp_path):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({argv[0]}):") and named in err, (argv, err)

@@ -255,6 +255,60 @@ def test_worker_count_invariance(fitted_bundle):
         assert sa.seed_token == sb.seed_token
 
 
+def test_pool_workers_read_tables_built_before_the_fork(fitted_bundle):
+    # the tables every storm reads are built in the parent, so forked workers
+    # share them instead of each building (and importing scipy for) its own
+    text = bundle_to_json(fitted_bundle)
+    serial, serial_stats = simulate_catalog(bundle_from_json(text), n=12, seed=2, workers=1)
+    bundle = bundle_from_json(text)
+    assert not bundle.marginal._table and not bundle.hazard_fit._tables
+    pooled, pooled_stats = simulate_catalog(bundle, n=12, seed=2, workers=2)
+    assert bundle.marginal._table and bundle.hazard_fit._tables
+    assert pooled_stats == serial_stats
+    for a, b in zip(pooled.storms, serial.storms):
+        assert a.points == b.points and a.sampler_tags == b.sampler_tags
+        assert np.array_equal(a.speeds, b.speeds) and np.array_equal(a.bearings, b.bearings)
+
+
+class RecordingPool:
+    """A stand-in for multiprocessing.Pool that records its size and runs
+    the work in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items, chunksize=1):
+        return [func(item) for item in items]
+
+
+@pytest.mark.parametrize("workers, n, cpus, started", [
+    (100_000, 5, 4, [4]),
+    (100_000, 3, 64, [3]),
+    (3, 40, 64, [3]),
+    (100_000, 5, 1, []),
+    (2, 1, 64, []),
+])
+def test_pool_size_bounded_by_storms_and_cpus(fitted_bundle, monkeypatch, workers, n, cpus,
+                                              started):
+    want, want_stats = simulate_catalog(fitted_bundle, n=n, seed=8, workers=1)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(engine, "Pool", RecordingPool)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+    got, got_stats = simulate_catalog(fitted_bundle, n=n, seed=8, workers=workers)
+    assert RecordingPool.sizes == started
+    assert got_stats == want_stats
+    assert [s.points for s in got.storms] == [s.points for s in want.storms]
+
+
 def test_draw_fallbacks_independent_of_workers(toy_catalog):
     # a narrow direction kernel: histories often leave its numerical support
     bundle = fit_all(toy_catalog, fast_config(bw_direction=0.05))
