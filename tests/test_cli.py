@@ -308,8 +308,6 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("risk", "risk", "regions", [{"lon_max": 2.0, "lat_min": 50.0, "lat_max": 60.0}],
      "risk.regions[0] is missing 'lon_min'"),
     ("simulate", "simulation", "workers", "2", "simulation.workers"),
-    ("simulate", "simulation", "workers", 0, "simulation.workers must be at least 1"),
-    ("simulate", "simulation", "workers", -2, "simulation.workers must be at least 1"),
     ("simulate", "simulation", "max_age", "x", "simulation.max_age"),
     ("simulate", "simulation", "n_storms", "x", "simulation.n_storms"),
     ("simulate", "simulation", "hazard_region", [[1]], "simulation.hazard_region[0]"),
@@ -337,6 +335,8 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("simulate", None, None, None, "not a JSON object"),
     ("risk", None, None, None, "not a JSON object"),
     ("diagnose", None, None, None, "not a JSON object"),
+    ("simulate", "simulation", "workers", 0, "simulation.workers must be at least 1"),
+    ("simulate", "simulation", "workers", -2, "simulation.workers must be at least 1"),
 ])
 def test_malformed_config_value_exit_2(workdir, tmp_path, capsys, command, section, key, value,
                                        named):
