@@ -16,9 +16,10 @@ time, from per-smooth piecewise-cubic tables built lazily from the fitted
 coefficients (bisection for the knot interval, then Horner, with the same
 linear tails); :meth:`GamFit.smooth_effect` remains the reference.
 
-scipy is imported inside the functions that call it (the B-splines in the
-bases and effect tables, ``expit`` in the fit and the hazard), so importing
-this module loads no scipy module.
+One numpy routine, :func:`_spline_rows` (de Boor 1978), gives the design
+rows, the linear tails and the tables.  scipy is imported inside the
+functions that call ``expit`` (the fit and the hazard), so importing this
+module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -27,14 +28,10 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FitError, SeparationError, ValidationError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import BSpline
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +39,40 @@ MIN_AGE = 8  # first age (in 3-hourly steps, 1-based) at which termination can o
 DEFAULT_COVARIATES = ("vorticity", "drop", "age", "lon", "lat")  # all that storm_rows makes
 SEPARATION_LIMIT = 50.0
 REFIT_CANDIDATES = 3  # grid values per smooth and sweep refitted by full IRLS
+
+
+def _spline_rows(t: np.ndarray, k: int, x, nu: int = 0) -> np.ndarray:
+    """Rows mapping the coefficients of a degree-k spline on knots t to its
+    nu-th derivative at each x in [t[k], t[-k-1]].
+
+    Values follow de Boor's recurrence in scipy's order of operations, so
+    they match its design matrix bit for bit; a derivative is the degree k-1
+    spline on t[1:-1] with coefficients k (c[i+1] - c[i]) / (t[i+k+1] - t[i+1]).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = t.size - k - 1
+    rows = np.zeros((x.size, n))
+    if nu:
+        dt = t[k + 1 : -1] - t[1 : -k - 1]
+        lower = _spline_rows(t[1:-1], k - 1, x, nu - 1) * np.divide(
+            k, dt, out=np.zeros_like(dt), where=dt != 0.0)
+        rows[:, 1:] += lower
+        rows[:, :-1] -= lower
+        return rows
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    h = np.zeros((x.size, k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            span = xb != xa
+            w = np.divide(prev[:, m - 1], xb - xa, out=np.zeros(x.size), where=span)
+            h[:, m - 1] = np.where(span, h[:, m - 1] + w * (xb - x), h[:, m - 1])
+            h[:, m] = w * (x - xa)
+    rows[np.arange(x.size)[:, None], ell[:, None] + np.arange(-k, 1)] = h
+    return rows
 
 
 @dataclass(frozen=True)
@@ -53,17 +84,18 @@ class SplineBasis:
     degree: int = 3
     penalty_order: int = 2
 
-    _edge: dict = field(default_factory=dict, repr=False, compare=False)
-
     def __post_init__(self):
-        n_min = 2 * (self.degree + 1)
-        if self.knots.ndim != 1 or self.knots.size <= n_min:
-            raise ValidationError(
-                f"basis {self.covariate!r}: need more than {n_min} knots for degree "
-                f"{self.degree}, got {self.knots.size}"
-            )
+        name = self.covariate
+        if not (isinstance(self.degree, int) and self.degree == 3):
+            raise ValidationError(f"basis {name!r}: degree must be 3, got {self.degree!r}")
+        if self.knots.ndim != 1 or self.knots.size <= 8:
+            raise ValidationError(f"basis {name!r}: need more than 8 knots, got {self.knots.size}")
+        if not np.isfinite(self.knots).all():
+            raise ValidationError(f"basis {name!r}: knots must be finite")
         if np.any(np.diff(self.knots) < 0.0):
-            raise ValidationError(f"basis {self.covariate!r}: knots decrease")
+            raise ValidationError(f"basis {name!r}: knots decrease")
+        if not self.knots[3] < self.knots[-4]:
+            raise ValidationError(f"basis {name!r}: empty knot range {self.bounds}")
 
     @property
     def size(self) -> int:
@@ -73,33 +105,13 @@ class SplineBasis:
     def bounds(self) -> tuple[float, float]:
         return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
 
-    def _edge_rows(self):
-        if not self._edge:
-            from scipy.interpolate import BSpline
-
-            a, b = self.bounds
-            eye = np.eye(self.size)
-            val = BSpline.design_matrix(np.array([a, b]), self.knots, self.degree).toarray()
-            deriv = np.array(
-                [[BSpline(self.knots, eye[j], self.degree).derivative()(x) for j in range(self.size)]
-                 for x in (a, b)]
-            )
-            self._edge.update(Ba=val[0], Bb=val[1], Da=deriv[0], Db=deriv[1])
-        return self._edge
-
     def design(self, x) -> np.ndarray:
-        from scipy.interpolate import BSpline
-
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        a, b = self.bounds
-        M = BSpline.design_matrix(np.clip(x, a, b), self.knots, self.degree).toarray()
-        lo, hi = x < a, x > b
-        if lo.any() or hi.any():
-            e = self._edge_rows()
-            if lo.any():
-                M[lo] = e["Ba"][None, :] + (x[lo] - a)[:, None] * e["Da"][None, :]
-            if hi.any():
-                M[hi] = e["Bb"][None, :] + (x[hi] - b)[:, None] * e["Db"][None, :]
+        end = np.clip(x, *self.bounds)
+        M = _spline_rows(self.knots, self.degree, end)
+        out = x != end  # beyond the knots: the tangent line at the nearer end
+        if out.any():
+            M[out] += (x - end)[out, None] * _spline_rows(self.knots, self.degree, end[out], nu=1)
         return M
 
     def greville(self) -> np.ndarray:
@@ -118,7 +130,7 @@ class SplineBasis:
         return D2.T @ D2
 
 
-def make_basis(covariate: str, values, n_interior: int = 10, degree: int = 3) -> SplineBasis:
+def make_basis(covariate: str, values, n_interior: int = 10) -> SplineBasis:
     """Knots at training quantiles (deduplicated, strictly interior)."""
     x = np.asarray(values, dtype=float)
     a, b = float(x.min()), float(x.max())
@@ -127,8 +139,8 @@ def make_basis(covariate: str, values, n_interior: int = 10, degree: int = 3) ->
     qs = np.quantile(x, np.linspace(0.0, 1.0, n_interior + 2)[1:-1])
     interior = np.unique(qs)
     interior = interior[(interior > a) & (interior < b)]
-    knots = np.concatenate([[a] * (degree + 1), interior, [b] * (degree + 1)])
-    return SplineBasis(covariate=covariate, knots=knots, degree=degree)
+    knots = np.concatenate([[a] * 4, interior, [b] * 4])
+    return SplineBasis(covariate=covariate, knots=knots)
 
 
 @dataclass(frozen=True)
@@ -258,7 +270,6 @@ class GamFit:
     converged: bool
     min_age: int = MIN_AGE
 
-    _splines: dict = field(default_factory=dict, repr=False, compare=False)
     _tables: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
@@ -274,53 +285,33 @@ class GamFit:
         n_coef = self.slices[-1].stop if self.slices else 1
         if self.coef.shape != (n_coef,):
             raise ValidationError(f"coef must hold {n_coef} values, got {self.coef.shape}")
+        if not all(np.isfinite(v).all() for v in (self.coef, *self.constraints)):
+            raise ValidationError("coef and constraints must be finite")
         if self.smoothing.shape != (n_smooth,):
             raise ValidationError(f"smoothing must hold {n_smooth} values, got {self.smoothing.shape}")
-
-    def _effect_spline(self, i: int) -> BSpline:
-        # s_i(x) = B(x) @ (Z @ coef): one spline with combined coefficients
-        sp = self._splines.get(i)
-        if sp is None:
-            from scipy.interpolate import BSpline
-
-            c = self.constraints[i] @ self.coef[self.slices[i]]
-            sp = BSpline(self.bases[i].knots, c, self.bases[i].degree, extrapolate=False)
-            self._splines[i] = sp
-        return sp
 
     def smooth_effect(self, name: str, x) -> np.ndarray:
         """The centered effect s_name evaluated at x (linear outside the knots)."""
         i = self.covariates.index(name)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        basis = self.bases[i]
-        a, b = basis.bounds
-        sp = self._effect_spline(i)
-        out = np.asarray(sp(np.clip(x, a, b)), dtype=float)
-        lo, hi = x < a, x > b
-        if lo.any() or hi.any():
-            e = basis._edge_rows()
-            c = self.constraints[i] @ self.coef[self.slices[i]]
-            if lo.any():
-                out[lo] = e["Ba"] @ c + (x[lo] - a) * (e["Da"] @ c)
-            if hi.any():
-                out[hi] = e["Bb"] @ c + (x[hi] - b) * (e["Db"] @ c)
-        return out
+        return self.bases[i].design(x) @ (self.constraints[i] @ self.coef[self.slices[i]])
 
     def _effect_table(self, i: int) -> _EffectTable:
-        from scipy.interpolate import PPoly
-
+        # the cubic on each knot interval in powers of dx: the r-th derivative
+        # at the interval's left end over r!
         basis = self.bases[i]
+        t, k = basis.knots, basis.degree
         a, b = basis.bounds
-        pp = PPoly.from_spline(self._effect_spline(i))
-        keep = [j for j in range(pp.x.size - 1) if a <= pp.x[j] < pp.x[j + 1] <= b]
-        e = basis._edge_rows()
         c = self.constraints[i] @ self.coef[self.slices[i]]
+        breaks = np.unique(t[(t >= a) & (t < b)])
+        powers = [(_spline_rows(t, k, breaks, nu=r) @ c / math.factorial(r)).tolist()
+                  for r in range(k, -1, -1)]
+        value, slope = (_spline_rows(t, k, [a, b], nu=r) for r in (0, 1))
         return _EffectTable(
-            breaks=[float(pp.x[j]) for j in keep],
-            coefs=[tuple(float(v) for v in pp.c[:, j]) for j in keep],
+            breaks=breaks.tolist(),
+            coefs=list(zip(*powers)),
             a=a, b=b,
-            value_a=float(e["Ba"] @ c), slope_a=float(e["Da"] @ c),
-            value_b=float(e["Bb"] @ c), slope_b=float(e["Db"] @ c),
+            value_a=float(value[0] @ c), slope_a=float(slope[0] @ c),
+            value_b=float(value[1] @ c), slope_b=float(slope[1] @ c),
         )
 
     def _effect_tables(self) -> list[_EffectTable]:
@@ -334,18 +325,6 @@ class GamFit:
         eta = float(self.coef[0])
         for name, table in zip(self.covariates, self._effect_tables()):
             eta = eta + table(float(covariate_values[name]))
-        return eta
-
-    def linear_predictor(self, covariate_values: dict) -> np.ndarray:
-        """Vectorized eta = intercept + sum of smooth effects."""
-        arrays = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in covariate_values.items()}
-        n = max(a.size for a in arrays.values()) if arrays else 1
-        eta = np.full(n, self.coef[0])
-        for i, name in enumerate(self.covariates):
-            x = arrays[name]
-            if x.size == 1 and n > 1:
-                x = np.full(n, x[0])
-            eta = eta + self.smooth_effect(name, x)
         return eta
 
 

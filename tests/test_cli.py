@@ -213,6 +213,12 @@ def _bundle_variants(text):
         data[1] = value
         return with_samples(base64=base64.b64encode(data.tobytes()).decode())
 
+    knots = hazard["bases"][0]["knots"]
+
+    def with_basis(**fields):
+        return json.dumps({**doc, "hazard": {**hazard, "bases": [{**hazard["bases"][0], **fields}]
+                                                      + hazard["bases"][1:]}})
+
     return {
         "truncated": (text[: len(text) // 2], "not valid JSON"),
         "not-json": ("this is not a bundle\n", "not valid JSON"),
@@ -255,6 +261,17 @@ def _bundle_variants(text):
                                "'condex'"),
         "condex-order-zero": (json.dumps({**doc, "condex": {**doc["condex"], "k": 0}}),
                               "'condex'"),
+        "hazard-knot-nan": (with_basis(knots=knots[:4] + [float("nan")] + knots[5:]), "'hazard'"),
+        "hazard-knot-inf": (with_basis(knots=knots[:-1] + [float("inf")]), "'hazard'"),
+        "hazard-degree-2": (with_basis(knots=knots[:-1], degree=2), "'hazard'"),
+        "hazard-degree-4": (with_basis(knots=knots + knots[-1:], degree=4), "'hazard'"),
+        "hazard-equal-knots": (with_basis(knots=[knots[0]] * len(knots)), "'hazard'"),
+        "hazard-coef-nan": (json.dumps({**doc, "hazard": {**hazard, "coef": [float("nan")]
+                                                          + hazard["coef"][1:]}}), "'hazard'"),
+        "hazard-constraint-nan": (json.dumps({**doc, "hazard": {
+            **hazard, "constraints": [[[float("nan")] + hazard["constraints"][0][0][1:]]
+                                      + hazard["constraints"][0][1:]] + hazard["constraints"][1:]}}),
+            "'hazard'"),
     }
 
 
@@ -267,7 +284,10 @@ def _bundle_variants(text):
                                      "no-hazard-bases", "hazard-coef-count",
                                      "hazard-constraint-shape", "hazard-slice-width",
                                      "hazard-too-few-knots", "condex-alpha-empty",
-                                     "condex-beta-length", "condex-order-zero"])
+                                     "condex-beta-length", "condex-order-zero",
+                                     "hazard-knot-nan", "hazard-knot-inf", "hazard-degree-2",
+                                     "hazard-degree-4", "hazard-equal-knots", "hazard-coef-nan",
+                                     "hazard-constraint-nan"])
 def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
     root, cfg_path = workdir
     text, named = _bundle_variants((root / "bundle.json").read_text())[variant]
@@ -395,15 +415,6 @@ def test_benchmark_traced_functions_exist():
         assert callable(obj), f"{module}.{attr}"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about 0.4 s and 20 MB of start-up per process
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, stormsim.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_cli_import_loads_no_scipy():
     # scipy costs about 0.4 s and 50 MB of start-up; each command imports
     # the parts it calls when it calls them
@@ -424,6 +435,22 @@ def test_risk_runs_without_scipy(workdir, tmp_path):
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip().splitlines()[-1] == "0 []"
     assert (tmp_path / "cell_return_periods.csv").exists()
+
+
+def test_simulate_loads_only_scipy_special(workdir, tmp_path):
+    # the hazard's splines are numpy; scipy.interpolate would also load
+    # scipy.optimize, scipy.sparse, scipy.linalg and scipy.spatial
+    root, _ = workdir
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["simulate", "--bundle", str(root / "bundle.json"), "--seed", "3", "--n-storms", "5",
+            "--output-dir", str(tmp_path)]
+    code = ("import sys; from stormsim import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m, mod in sys.modules.items() if m.startswith('scipy.') "
+            "and m.count('.') == 1 and not m.startswith('scipy._') and hasattr(mod, '__path__')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 ['scipy.special']"
+    assert (tmp_path / "simulated.csv").stat().st_size > 0
 
 
 def _unreadable_cases(root, tmp_path):

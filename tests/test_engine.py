@@ -514,6 +514,10 @@ def _set_first_sample(doc, value):
     packed["base64"] = base64.b64encode(data.tobytes()).decode()
 
 
+def _first_basis(doc):
+    return doc["hazard"]["bases"][0]
+
+
 @pytest.mark.parametrize("field, mangle", [
     ("direction", lambda d: d["direction"]["assignment"].__setitem__(
         _first_cell(d["direction"]), "x")),
@@ -535,11 +539,20 @@ def _set_first_sample(doc, value):
     ("genesis_location", lambda d: _mangle_samples(d, base64="", shape=[0, 2])),
     ("direction", lambda d: _set_first_sample(d, float("nan"))),
     ("direction", lambda d: _set_first_sample(d, float("inf"))),
+    ("hazard", lambda d: _first_basis(d)["knots"].__setitem__(4, float("nan"))),
+    ("hazard", lambda d: _first_basis(d)["knots"].__setitem__(-1, float("inf"))),
+    ("hazard", lambda d: _first_basis(d).update(degree=2, knots=_first_basis(d)["knots"][:-1])),
+    ("hazard", lambda d: _first_basis(d).update(degree=4, knots=_first_basis(d)["knots"]
+                                                + _first_basis(d)["knots"][-1:])),
+    ("hazard", lambda d: _first_basis(d).update(knots=[1.0] * len(_first_basis(d)["knots"]))),
+    ("hazard", lambda d: d["hazard"]["coef"].__setitem__(1, float("nan"))),
+    ("hazard", lambda d: d["hazard"]["constraints"][0][0].__setitem__(0, float("nan"))),
 ], ids=["unknown-assignment", "assigned-model-missing", "string-number", "null-array",
         "empty-kernel-samples", "bandwidth-shape", "no-hazard-bases", "hazard-coef-count",
         "packed-not-string", "packed-bad-base64", "packed-byte-count", "packed-shape-1d",
         "packed-shape-negative", "packed-shape-bool", "packed-shape-null", "packed-empty",
-        "packed-nan", "packed-inf"])
+        "packed-nan", "packed-inf", "knot-nan", "knot-inf", "degree-2", "degree-4",
+        "equal-knots", "coef-nan", "constraint-nan"])
 def test_bundle_from_json_rejects_mangled_values(fitted_bundle, field, mangle):
     doc = json.loads(bundle_to_json(fitted_bundle))
     mangle(doc)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline, PPoly
 from scipy.special import expit, logit
 
 from stormsim.catalog import StormTrack
@@ -10,7 +13,9 @@ from stormsim.gam import (
     DEFAULT_COVARIATES,
     GamFit,
     HazardDesign,
+    SplineBasis,
     _constraint_null_basis,
+    _spline_rows,
     build_design,
     fit_gam,
     hazard,
@@ -264,6 +269,18 @@ def test_partition_of_unity_within_support():
     np.testing.assert_allclose(basis.design(inside).sum(axis=1), 1.0, atol=1e-12)
 
 
+def scipy_predictor(fit, values):
+    """eta from scipy B-splines of the combined coefficients, linear beyond the knots."""
+    eta = float(fit.coef[0])
+    for i, (name, basis) in enumerate(zip(fit.covariates, fit.bases)):
+        spline = BSpline(basis.knots, fit.constraints[i] @ fit.coef[fit.slices[i]], 3)
+        a, b = basis.bounds
+        x = values[name]
+        end = min(max(x, a), b)
+        eta += float(spline(end)) + (x - end) * float(spline.derivative()(end))
+    return eta
+
+
 def test_tabulated_predictor_matches_linear_predictor(toy_catalog):
     design = build_design(toy_catalog.storms, n_interior=6)
     fit = fit_gam(design, gcv_grid=np.logspace(-2, 2, 5), sweeps=1)
@@ -283,9 +300,11 @@ def test_tabulated_predictor_matches_linear_predictor(toy_catalog):
         for x in xs:
             values = {other: float(rng.choice(probes[other])) for other in fit.covariates}
             values[name] = float(x)
-            want = fit.linear_predictor(values)[0]
+            want = scipy_predictor(fit, values)
             got = fit.predictor_at(values)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert fit.coef[0] + sum(fit.smooth_effect(n, values[n])[0] for n in fit.covariates) \
+                == pytest.approx(want, rel=1e-12, abs=1e-12)
             if name == "age" and values["age"] >= fit.min_age:
                 assert hazard(fit, values, age=values["age"]) == pytest.approx(
                     float(expit(want)), rel=1e-12, abs=1e-300)
@@ -299,3 +318,65 @@ def test_tabulated_hazard_zero_before_min_age(toy_catalog):
         assert hazard(fit, values, age=age) == 0.0
     assert 0.0 < hazard(fit, values, age=8) < 1.0
     assert not fit.__dataclass_fields__["_tables"].compare
+
+
+# ---------------------------------------------------------------- spline evaluator
+
+@st.composite
+def knot_vectors(draw):
+    """Cubic knot vectors with boundary multiplicity 4 and at least one
+    interior knot, each of multiplicity up to 3, on a half-unit grid moved
+    and scaled at random."""
+    interior = sorted(draw(st.lists(st.integers(1, 19), min_size=1, max_size=10)))
+    interior = [v for i, v in enumerate(interior) if interior[i - 3 : i].count(v) < 3]
+    grid = np.array([0] * 4 + interior + [20] * 4) / 2.0
+    shift = draw(st.floats(-1e3, 1e3))
+    scale = draw(st.floats(1e-3, 1e3))
+    return shift + scale * grid
+
+
+def table_oracle(knots, c):
+    """(breaks, (c3, c2, c1, c0) per interval) from scipy's piecewise-polynomial form."""
+    a, b = knots[3], knots[-4]
+    pp = PPoly.from_spline(BSpline(knots, c, 3, extrapolate=False))
+    keep = [j for j in range(pp.x.size - 1) if a <= pp.x[j] < pp.x[j + 1] <= b]
+    return pp.x[keep], pp.c[:, keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_vectors(), st.lists(st.floats(0.0, 1.0), max_size=20), st.integers(0, 2**32 - 1))
+@example(np.array([0.0] * 4 + [2.0] * 3 + [5.0, 5.0] + [10.0] * 4), [0.2, 0.5, 0.999], 0)
+@example(np.array([-3.0] * 4 + [0.0] + [3.0] * 4), [0.0, 1.0], 1)
+@example(np.array([0.0] * 4 + [1.5, 3.5] + [9.5] * 3 + [10.0] * 4) / 128.0, [], 0)
+def test_spline_rows_match_scipy(knots, fractions, seed):
+    a, b = knots[3], knots[-4]
+    x = np.concatenate([a + (b - a) * np.array(fractions), knots, [a, b]])
+    x = np.clip(x, a, b)  # a + (b - a) * 1.0 can round past b
+    n = knots.size - 4
+    np.testing.assert_array_equal(_spline_rows(knots, 3, x),
+                                  BSpline.design_matrix(x, knots, 3).toarray())
+    # values and slopes at the ends, which the linear tails extend
+    values = BSpline.design_matrix(np.array([a, b]), knots, 3).toarray()
+    slopes = np.array([[BSpline(knots, e, 3).derivative()(end) for e in np.eye(n)]
+                       for end in (a, b)])
+    np.testing.assert_array_equal(_spline_rows(knots, 3, [a, b], nu=1), slopes)
+    basis = SplineBasis(covariate="x", knots=knots)
+    beyond = np.array([a - 0.5 * (b - a), b + 2.0 * (b - a)])
+    np.testing.assert_array_equal(basis.design(beyond), values + (beyond - [a, b])[:, None] * slopes)
+    # effect-table coefficients of a random combined spline
+    c = np.random.default_rng(seed).normal(size=n)
+    fit = GamFit(covariates=("x",), bases=(basis,), constraints=(np.eye(n),),
+                 slices=(slice(1, 1 + n),), coef=np.concatenate([[0.0], c]),
+                 smoothing=np.ones(1), gcv_score=0.0, aic=0.0, edf=1.0, deviance=0.0,
+                 n_rows=0, converged=True)
+    table = fit._effect_tables()[0]
+    breaks, coefs = table_oracle(knots, c)
+    np.testing.assert_array_equal(table.breaks, breaks)
+    # in units of each interval's width h, where Horner uses them: c_r h^r;
+    # raw third-power coefficients on a short interval after a triple knot
+    # differ by about 1e-14 of the largest, both as far from the exact values
+    widths = np.diff(np.append(breaks, b)) ** np.arange(3, -1, -1)[:, None]
+    error = np.abs(np.array(table.coefs).T - coefs) * widths
+    assert np.max(error) <= 1e-14 * np.max(np.abs(coefs) * widths)
+    np.testing.assert_array_equal([table.value_a, table.value_b], [values[0] @ c, values[1] @ c])
+    np.testing.assert_array_equal([table.slope_a, table.slope_b], [slopes[0] @ c, slopes[1] @ c])
