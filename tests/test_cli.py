@@ -415,6 +415,15 @@ def test_benchmark_traced_functions_exist():
         assert callable(obj), f"{module}.{attr}"
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.4 s and 20 MB of start-up per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, stormsim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs about 0.4 s and 50 MB of start-up; each command imports
     # the parts it calls when it calls them
