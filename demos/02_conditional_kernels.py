@@ -25,7 +25,7 @@ print("a correlated speed/vorticity kernel")
 print("-----------------------------------")
 cov = np.array([[9.0, 2.0], [2.0, 1.0]])
 train = rng.multivariate_normal([12.0, 2.5], cov, size=400)  # (speed, vorticity)
-model = fit_kde(train, structure="oriented")
+model = fit_kde(train)
 print(f"{model.n} tuples, bandwidth:\n{model.bandwidth.round(3)}")
 
 draws = sample_joint(model, rng, size=5000)

@@ -15,7 +15,7 @@ import csv
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -347,8 +347,7 @@ class GridSpec:
     Cell (i, j) covers ``[lon0 + i*dlon, lon0 + (i+1)*dlon)`` by
     ``[lat0 + j*dlat, lat0 + (j+1)*dlat)``, so boundary points belong to the
     cell to the east/north.  `active_cells` are the indices with observed
-    storm activity; `extent`, when given, is a (lon_min, lon_max, lat_min,
-    lat_max) outer bound and points outside map to no cell.
+    storm activity.  The grid covers the globe: every point lies in a cell.
     """
 
     lon0: float
@@ -356,8 +355,6 @@ class GridSpec:
     dlon: float
     dlat: float
     active_cells: frozenset[tuple[int, int]] = frozenset()
-    min_count: int = 1
-    extent: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         if self.dlon <= 0 or self.dlat <= 0:
@@ -368,26 +365,20 @@ class GridSpec:
         return (self.lon0 + (i + 0.5) * self.dlon, self.lat0 + (j + 0.5) * self.dlat)
 
 
-def grid_cell(p, grid: GridSpec):
-    """Cell index of point p, or None when p is outside the grid extent."""
+def grid_cell(p, grid: GridSpec) -> tuple[int, int]:
+    """Cell index of point p (longitude normalized first)."""
     lon, lat = normalize_lon(p[0]), p[1]
-    if grid.extent is not None:
-        lon_min, lon_max, lat_min, lat_max = grid.extent
-        if not (lon_min <= lon < lon_max and lat_min <= lat < lat_max):
-            return None
     i = math.floor((lon - grid.lon0) / grid.dlon)
     j = math.floor((lat - grid.lat0) / grid.dlat)
     return (i, j)
 
 
 def cell_counts(lons: np.ndarray, lats: np.ndarray, grid: GridSpec) -> dict[tuple[int, int], int]:
-    """Points per cell of `grid`, in order of first appearance; points
-    outside the grid extent are not counted."""
+    """Points per cell of `grid`, in order of first appearance."""
     counts: dict[tuple[int, int], int] = {}
     for p in zip(lons.tolist(), lats.tolist()):
         cell = grid_cell(p, grid)
-        if cell is not None:
-            counts[cell] = counts.get(cell, 0) + 1
+        counts[cell] = counts.get(cell, 0) + 1
     return counts
 
 
@@ -398,16 +389,12 @@ def build_grid(
     lon0: float = -180.0,
     lat0: float = -90.0,
     min_count: int = 1,
-    extent=None,
 ) -> GridSpec:
-    """Impose a grid on the catalog domain and mark cells with enough points active."""
-    base = GridSpec(lon0=lon0, lat0=lat0, dlon=dlon, dlat=dlat, min_count=min_count, extent=extent)
+    """Impose a grid on the catalog domain and mark cells with at least
+    `min_count` points active."""
+    base = GridSpec(lon0=lon0, lat0=lat0, dlon=dlon, dlat=dlat)
     counts = cell_counts(catalog.columns.lon, catalog.columns.lat, base)
-    active = frozenset(c for c, n in counts.items() if n >= min_count)
-    return GridSpec(
-        lon0=lon0, lat0=lat0, dlon=dlon, dlat=dlat,
-        active_cells=active, min_count=min_count, extent=extent,
-    )
+    return replace(base, active_cells=frozenset(c for c, n in counts.items() if n >= min_count))
 
 
 def pacf(series, max_lag: int) -> np.ndarray:

@@ -127,6 +127,15 @@ def load_config(path: str | None) -> dict:
     if config["simulation"]["max_age"] < MIN_TRACK_POINTS:
         # no storm could reach the minimum track length
         raise ValidationError(f"config simulation.max_age must be at least {MIN_TRACK_POINTS}")
+    region = config["simulation"]["hazard_region"]
+    if region is not None and len(region) < 3:
+        # no point is inside a polygon of fewer vertices, so the hazard would never apply
+        raise ValidationError("config simulation.hazard_region must have at least 3 vertices, "
+                              f"got {len(region)}")
+    for key in ("qq_boot", "mrl_points"):  # no bootstrap replicate, or no MRL threshold
+        if config["diagnose"][key] < 1:
+            raise ValidationError(f"config diagnose.{key} must be at least 1, "
+                                  f"got {config['diagnose'][key]}")
     return config
 
 

@@ -40,21 +40,24 @@ class CondExFit:
     u_laplace: float
     alpha: np.ndarray  # (k,) in [-1, 1]
     beta: np.ndarray  # (k,) in [0, 1]
-    residuals: np.ndarray  # (n_events, k) inverted residual vectors
-    residual_kde: kde.KdeModel
+    residual_kde: kde.KdeModel  # samples: the (n_events, k) inverted residual vectors
     n_events: int
-    boundary: np.ndarray  # (k,) bool: alpha at +-1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"Markov order k must be at least 1, got {self.k}")
-        for name in ("alpha", "beta", "boundary"):
+        for name in ("alpha", "beta"):
             if np.shape(getattr(self, name)) != (self.k,):
                 raise ValidationError(
                     f"{name} must hold k={self.k} values, got shape {np.shape(getattr(self, name))}"
                 )
         if np.any(np.abs(self.alpha) > 1.0 + 1e-12) or np.any((self.beta < -1e-12) | (self.beta > 1.0 + 1e-12)):
             raise ValidationError("alpha/beta outside their boxes")
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """(k,) bool: alpha at +-1."""
+        return np.abs(np.abs(self.alpha) - 1.0) < BOUNDARY_TOL
 
 
 def collect_events(tracks, k: int, u_laplace: float):
@@ -139,10 +142,6 @@ def fit_condex(
     for j in range(k):
         alpha[j], beta[j] = _fit_lag(x, followers[:, j])
 
-    boundary = np.abs(np.abs(alpha) - 1.0) < BOUNDARY_TOL
-    if np.any(boundary):
-        log.warning("alpha at boundary for lag(s) %s", (np.flatnonzero(boundary) + 1).tolist())
-
     residuals = (followers - alpha[None, :] * x[:, None]) / x[:, None] ** beta[None, :]
     try:
         residual_kde = kde.fit_kde(residuals, scale=residual_scale)
@@ -152,16 +151,17 @@ def fit_condex(
         cov = np.atleast_2d(cov) + 1e-12 * np.eye(k)
         residual_kde = kde.fit_kde(residuals, scale=residual_scale, cov=cov)
 
-    return CondExFit(
+    fit = CondExFit(
         k=k,
         u_laplace=float(u_laplace),
         alpha=alpha,
         beta=beta,
-        residuals=residuals,
         residual_kde=residual_kde,
         n_events=int(x.size),
-        boundary=boundary,
     )
+    if np.any(fit.boundary):
+        log.warning("alpha at boundary for lag(s) %s", (np.flatnonzero(fit.boundary) + 1).tolist())
+    return fit
 
 
 def effective_order(recent, u_laplace: float, k: int) -> int:

@@ -62,7 +62,7 @@ from .catalog import (
 )
 from .errors import FitError, InvalidInverseError, ValidationError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 GENESIS_ATTEMPTS = 100
 PROPAGATION_ATTEMPTS = 10  # chances to find a trajectory into an active cell
 POSITIVITY_ATTEMPTS = 100
@@ -137,7 +137,6 @@ class CellKdeSet:
 class ModelBundle:
     """Every fitted submodel needed to simulate synthetic storms."""
 
-    k: int
     grid: GridSpec
     storms_per_year: float
     min_vorticity: float
@@ -152,14 +151,7 @@ class ModelBundle:
     condex: condex_mod.CondExFit
     hazard_fit: gam.GamFit
     config: FitConfig
-    u_laplace: float = 0.0
     schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self):
-        if self.condex.k != self.k:
-            raise ValidationError(
-                f"conditional-extremes order {self.condex.k} differs from the bundle's k={self.k}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +203,7 @@ def _fit_cell_set(
 
     def fit(rows):
         return kde.fit_kde(
-            rows, structure="oriented", scale=scale, cov=cov,
+            rows, scale=scale, cov=cov,
             circular_dims=circular_dims, independent_dims=independent_dims,
         )
 
@@ -320,8 +312,7 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
             )
 
     genesis_location = kde.fit_kde(
-        np.asarray(genesis_rows, dtype=float),
-        structure="oriented", scale=config.bw_genesis_location,
+        np.asarray(genesis_rows, dtype=float), scale=config.bw_genesis_location,
     )
     genesis_conditions = _fit_cell_set(
         genesis_by_cell, grid, config.bw_genesis_conditions, config.min_cell_tuples,
@@ -384,7 +375,6 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
 
     all_speeds = np.concatenate([s.speeds for s in catalog.storms])
     return ModelBundle(
-        k=k,
         grid=grid,
         storms_per_year=catalog.storms_per_year,
         min_vorticity=float(min(np.min(s.vorticities) for s in catalog.storms)),
@@ -399,7 +389,6 @@ def fit_all(catalog: Catalog, config: FitConfig = FitConfig()) -> ModelBundle:
         condex=condex,
         hazard_fit=hazard_fit,
         config=config,
-        u_laplace=u_laplace,
     )
 
 
@@ -431,11 +420,10 @@ def simulate_genesis(bundle: ModelBundle, rng: np.random.Generator):
     (v0, theta0, omega0) draw is resampled until speed and vorticity are
     positive.  Returns None after 100 failed attempts (genesis failure).
     """
-    cell = None
     for _ in range(GENESIS_ATTEMPTS):
         loc = kde.sample_joint(bundle.genesis_location, rng)
         cell = grid_cell((loc[0], loc[1]), bundle.grid)
-        if cell is not None and cell in bundle.grid.active_cells:
+        if cell in bundle.grid.active_cells:
             break
     else:
         return None
@@ -449,7 +437,7 @@ def simulate_genesis(bundle: ModelBundle, rng: np.random.Generator):
 
 def _propagate(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_omega=None):
     """Generator form of :func:`propagate_step`."""
-    k = bundle.k
+    k = bundle.condex.k
     cell = grid_cell(pos, bundle.grid)
     n_lags = min(k, len(theta_hist))
     if n_lags:
@@ -481,8 +469,7 @@ def _propagate(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesis_om
             nxt = destination_point(pos, v, theta, STEP_SECONDS)
         except PoleDegeneracyError:
             continue
-        ncell = grid_cell(nxt, bundle.grid)
-        if ncell is not None and ncell in bundle.grid.active_cells:
+        if grid_cell(nxt, bundle.grid) in bundle.grid.active_cells:
             return theta, v, nxt
     return None
 
@@ -492,7 +479,7 @@ def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesi
 
     Conditions the direction on its recent (unwrapped) window and the speed
     on its own lags plus the new direction, within the current cell's models.
-    A destination in an inactive or out-of-domain cell (or at a pole) is
+    A destination in an inactive cell (or at a pole) is
     retried up to 10 times; returns None to signal geographic termination.
 
     At genesis (empty histories) the pair is redrawn from the genesis-cell
@@ -504,7 +491,7 @@ def propagate_step(bundle: ModelBundle, pos, theta_hist, speed_hist, rng, genesi
 def _vorticity(bundle: ModelBundle, pos, omega_hist, w_hist, theta_prev, speed_prev, rng,
                laplace: dict | None = None):
     """Generator form of :func:`vorticity_step`."""
-    k = bundle.k
+    k = bundle.condex.k
     cell = grid_cell(pos, bundle.grid)
     model = bundle.vorticity_body.lookup(cell)
     recent_w = np.asarray(w_hist[-k:], dtype=float)
@@ -780,7 +767,7 @@ def replay_storm(bundle: ModelBundle, token: str, max_age: int = 800, hazard_reg
 # --------------------------------------------------------------------------
 
 # bundle fields whose JSON key differs from the attribute name
-_RENAMED = {"bandwidth_scale": "scale", "global_model": "global", "hazard_fit": "hazard"}
+_RENAMED = {"global_model": "global", "hazard_fit": "hazard"}
 # JSON types accepted for each scalar field type.  Numbers keep their JSON
 # type, and any number passes: bundles written while fit settings from a
 # config file went unchecked may hold 10.0 in an int field
@@ -954,7 +941,7 @@ def fit_report(bundle: ModelBundle, stats: dict | None = None) -> str:
     lines = [
         "stormsim fit report",
         "===================",
-        f"markov order k: {bundle.k}",
+        f"markov order k: {bundle.condex.k}",
         f"grid: {bundle.grid.dlon} x {bundle.grid.dlat} deg, "
         f"{len(bundle.grid.active_cells)} active cells",
         f"storms/year: {bundle.storms_per_year:.3f}",
@@ -974,7 +961,7 @@ def fit_report(bundle: ModelBundle, stats: dict | None = None) -> str:
         f"gpd tail: u={gpd.threshold} scale={gpd.scale:.4f} shape={gpd.shape:.4f} "
         f"rate(kernel)={gpd.exceed_rate:.5f} rate(empirical)={gpd.empirical_rate:.5f} "
         f"n_exceed={gpd.n_exceed} converged={gpd.converged}",
-        f"laplace threshold: {bundle.u_laplace:.4f}",
+        f"laplace threshold: {bundle.condex.u_laplace:.4f}",
         "conditional extremes: alpha=" + np.array2string(bundle.condex.alpha, precision=4)
         + " beta=" + np.array2string(bundle.condex.beta, precision=4)
         + f" events={bundle.condex.n_events}",

@@ -82,7 +82,6 @@ class SplineBasis:
     covariate: str
     knots: np.ndarray  # full knot vector with boundary multiplicity
     degree: int = 3
-    penalty_order: int = 2
 
     def __post_init__(self):
         name = self.covariate
@@ -267,8 +266,6 @@ class GamFit:
     edf: float
     deviance: float
     n_rows: int
-    converged: bool
-    min_age: int = MIN_AGE
 
     _tables: list = field(default_factory=list, repr=False, compare=False)
 
@@ -493,7 +490,6 @@ def fit_gam(design: HazardDesign, gcv_grid=None, sweeps: int = 2) -> GamFit:
         edf=float(edf),
         deviance=float(dev),
         n_rows=int(n),
-        converged=True,
     )
 
 
@@ -503,7 +499,7 @@ def hazard(fit: GamFit, covariates: dict, age: float) -> float:
     `covariates` maps covariate names (including "age", which is overridden by
     the `age` argument) to values.
     """
-    if age < fit.min_age:
+    if age < MIN_AGE:
         return 0.0
     from scipy.special import expit
 

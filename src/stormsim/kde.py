@@ -86,8 +86,6 @@ class KdeModel:
 
     samples: PackedMatrix
     bandwidth: np.ndarray
-    bandwidth_scale: float = 1.0
-    structure: str = "oriented"
     circular_dims: tuple[int, ...] = ()
 
     _samplers: dict = field(default_factory=dict, repr=False, compare=False)
@@ -148,7 +146,6 @@ class _Sampler:
 
 def fit_kde(
     samples,
-    structure: str = "oriented",
     scale: float = 1.0,
     circular_dims=(),
     cov=None,
@@ -157,11 +154,11 @@ def fit_kde(
     """Fit a kernel model with a Scott-rule bandwidth.
 
     H = scale^2 * n^(-2/(d+4)) * C where C is the sample covariance (or the
-    explicit `cov` override, which also permits n = 1).  `structure`
-    "diagonal" keeps only the diagonal of H; "oriented" keeps the full matrix.
-    `independent_dims` zeroes the cross-covariances between the named
-    dimensions and all others (used e.g. to keep a bearing independent of
-    speed and vorticity in a joint kernel).
+    explicit `cov` override, which also permits n = 1).  H keeps the
+    cross-covariances of C, so the kernels are oriented along the data; a
+    diagonal `cov` gives a diagonal H.  `independent_dims` zeroes the
+    cross-covariances between the named dimensions and all others (used e.g.
+    to keep a bearing independent of speed and vorticity in a joint kernel).
 
     Raises:
         SingularBandwidthError: non-positive scale, a zero-variance column,
@@ -177,8 +174,6 @@ def fit_kde(
         raise ValidationError("samples contain non-finite values")
     if scale <= 0.0 or not math.isfinite(scale):
         raise SingularBandwidthError(f"bandwidth scale must be positive, got {scale}")
-    if structure not in ("diagonal", "oriented"):
-        raise ValidationError(f"unknown structure {structure!r}")
     circular_dims = tuple(sorted(int(c) for c in circular_dims))
 
     if cov is None:
@@ -193,8 +188,6 @@ def fit_kde(
         raise SingularBandwidthError("degenerate sample covariance (zero-variance column?)")
 
     H = scale**2 * n ** (-2.0 / (d + 4)) * cov
-    if structure == "diagonal":
-        H = np.diag(np.diag(H))
     if independent_dims:
         H = H.copy()
         for dim in independent_dims:
@@ -207,13 +200,7 @@ def fit_kde(
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise SingularBandwidthError("bandwidth matrix is not positive definite") from exc
-    return KdeModel(
-        samples=S,
-        bandwidth=H,
-        bandwidth_scale=float(scale),
-        structure=structure,
-        circular_dims=circular_dims,
-    )
+    return KdeModel(samples=S, bandwidth=H, circular_dims=circular_dims)
 
 
 def _as_dims(model: KdeModel, dims) -> tuple[int, ...]:

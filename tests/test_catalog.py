@@ -198,12 +198,6 @@ def test_grid_half_open_edges():
     assert grid_cell((7.999999, 3.999999), g) == (0, 0)
 
 
-def test_grid_extent_marker():
-    g = GridSpec(lon0=0.0, lat0=0.0, dlon=8.0, dlat=4.0, extent=(0.0, 40.0, 0.0, 20.0))
-    assert grid_cell((50.0, 5.0), g) is None
-    assert grid_cell((5.0, 5.0), g) == (0, 1)
-
-
 def test_grid_partition(toy_catalog):
     g = build_grid(toy_catalog, dlon=8.0, dlat=4.0)
     counts = {}

@@ -272,6 +272,7 @@ def _bundle_variants(text):
             **hazard, "constraints": [[[float("nan")] + hazard["constraints"][0][0][1:]]
                                       + hazard["constraints"][0][1:]] + hazard["constraints"][1:]}}),
             "'hazard'"),
+        "version-2": (json.dumps({**doc, "schema_version": 2}), "refit it from its catalog with"),
     }
 
 
@@ -287,7 +288,7 @@ def _bundle_variants(text):
                                      "condex-beta-length", "condex-order-zero",
                                      "hazard-knot-nan", "hazard-knot-inf", "hazard-degree-2",
                                      "hazard-degree-4", "hazard-equal-knots", "hazard-coef-nan",
-                                     "hazard-constraint-nan"])
+                                     "hazard-constraint-nan", "version-2"])
 def test_simulate_malformed_bundle_exit_2(workdir, tmp_path, capsys, variant):
     root, cfg_path = workdir
     text, named = _bundle_variants((root / "bundle.json").read_text())[variant]
@@ -357,6 +358,13 @@ def test_non_finite_catalog_value_exit_2(workdir, tmp_path, capsys, command, col
     ("diagnose", None, None, None, "not a JSON object"),
     ("simulate", "simulation", "workers", 0, "simulation.workers must be at least 1"),
     ("simulate", "simulation", "workers", -2, "simulation.workers must be at least 1"),
+    ("simulate", "simulation", "hazard_region", [[0.0, 50.0]],
+     "simulation.hazard_region must have at least 3 vertices, got 1"),
+    ("simulate", "simulation", "hazard_region", [[0.0, 50.0], [10.0, 60.0]],
+     "simulation.hazard_region must have at least 3 vertices, got 2"),
+    ("diagnose", "diagnose", "qq_boot", 0, "diagnose.qq_boot must be at least 1"),
+    ("diagnose", "diagnose", "qq_boot", -1, "diagnose.qq_boot must be at least 1"),
+    ("fit", "diagnose", "mrl_points", 0, "diagnose.mrl_points must be at least 1"),
 ])
 def test_malformed_config_value_exit_2(workdir, tmp_path, capsys, command, section, key, value,
                                        named):
@@ -373,6 +381,7 @@ def test_malformed_config_value_exit_2(workdir, tmp_path, capsys, command, secti
     assert main(argv + (["--seed", "1"] if command == "simulate" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error ({command}):") and named in err
+    assert not (tmp_path / "out" / "bundle.json").exists()  # fit stops before it fits
 
 
 def test_fit_config_values_of_every_type():

@@ -47,7 +47,7 @@ def test_perfect_dependence_boundary():
     fit = fit_condex(tracks, k=3, u_laplace=3.0)
     assert np.all(fit.alpha > 0.999)
     assert np.all(fit.boundary)
-    assert np.max(np.abs(fit.residuals)) < 1e-6
+    assert np.max(np.abs(fit.residual_kde.samples)) < 1e-6
 
 
 def test_gaussian_copula_recovery_k1():
@@ -80,7 +80,8 @@ def test_inversion_identity():
     u = -math.log(2 * 0.05)
     fit = fit_condex(tracks, k=3, u_laplace=u)
     x, followers = collect_events(tracks, 3, u)  # independent re-collection
-    recon = fit.alpha[None, :] * x[:, None] + x[:, None] ** fit.beta[None, :] * fit.residuals
+    e = fit.residual_kde.samples
+    recon = fit.alpha[None, :] * x[:, None] + x[:, None] ** fit.beta[None, :] * e
     np.testing.assert_allclose(recon, followers, atol=1e-10)
 
 
@@ -137,7 +138,7 @@ def test_step_first_order_reduction(copula_fit):
     draws = np.array([
         step_tail_chain(copula_fit, [0.5, 1.0, s0], rng) for _ in range(4000)
     ])
-    e1 = copula_fit.residuals[:, 0]
+    e1 = copula_fit.residual_kde.samples[:, 0]
     want = copula_fit.alpha[0] * s0 + s0 ** copula_fit.beta[0] * e1.mean()
     se = s0 ** copula_fit.beta[0] * e1.std() / math.sqrt(draws.size)
     assert draws.mean() == pytest.approx(want, abs=5 * se + 1e-3)

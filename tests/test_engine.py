@@ -43,7 +43,7 @@ def constant_hazard_fit(eta):
     return GamFit(
         covariates=("age",), bases=(basis,), constraints=(Z,),
         slices=(slice(1, 1 + Z.shape[1]),), coef=coef, smoothing=np.ones(1),
-        gcv_score=0.0, aic=0.0, edf=1.0, deviance=0.0, n_rows=0, converged=True,
+        gcv_score=0.0, aic=0.0, edf=1.0, deviance=0.0, n_rows=0,
     )
 
 
@@ -51,11 +51,11 @@ def constant_hazard_fit(eta):
 
 def test_bundle_composition(fitted_bundle):
     b = fitted_bundle
-    assert b.k == 3
+    assert b.condex.k == 3
     assert len(b.grid.active_cells) > 5
     assert b.marginal.gpd.n_exceed >= 30
     assert b.condex.n_events >= 30
-    assert b.u_laplace == pytest.approx(
+    assert b.condex.u_laplace == pytest.approx(
         float(evt.to_laplace(b.config.gpd_threshold, b.marginal)), abs=1e-12
     )
     assert b.preproc.w_sd == pytest.approx(1.0, abs=0.02)
@@ -177,16 +177,12 @@ def test_propagate_step_early_history(fitted_bundle):
 
 
 def test_propagate_geographic_termination(fitted_bundle):
-    # shrink the domain to a sliver: every 3-hour displacement exits, so all
+    # no active cell: every 3-hour displacement leaves the domain, so all
     # 10 retries fail and the step signals geographic termination
     rng = np.random.default_rng(3)
     gen = simulate_genesis(fitted_bundle, rng)
     (lon, lat), v, theta, omega = gen
-    tiny = replace(
-        fitted_bundle.grid,
-        extent=(lon - 0.05, lon + 0.05, lat - 0.05, lat + 0.05),
-    )
-    squeezed = replace(fitted_bundle, grid=tiny)
+    squeezed = replace(fitted_bundle, grid=replace(fitted_bundle.grid, active_cells=frozenset()))
     assert propagate_step(squeezed, (lon, lat), [theta], [v], rng) is None
 
 
@@ -483,11 +479,20 @@ def test_bundle_from_json_names_missing_nested_field(fitted_bundle):
 
 def test_bundle_json_layout(fitted_bundle):
     doc = json.loads(bundle_to_json(fitted_bundle))
-    assert "hazard" in doc and "hazard_fit" not in doc
+    # each fitted value is written once: k and u_laplace only in condex, the
+    # residual vectors only as the residual kernel's samples, and the fit
+    # settings only in config
+    assert set(doc) == {"grid", "storms_per_year", "min_vorticity", "min_speed",
+                        "genesis_location", "genesis_conditions", "direction", "speed",
+                        "vorticity_body", "preproc", "marginal", "condex", "hazard", "config",
+                        "schema_version"}
+    assert doc["schema_version"] == 3
     assert set(doc["direction"]) == {"models", "assignment", "global"}
     # the lazily built sampler cache (_samplers) is not written
-    assert set(doc["genesis_location"]) == {"samples", "bandwidth", "scale", "structure",
-                                            "circular_dims"}
+    assert set(doc["genesis_location"]) == {"samples", "bandwidth", "circular_dims"}
+    assert set(doc["condex"]) == {"k", "u_laplace", "alpha", "beta", "residual_kde", "n_events"}
+    assert set(doc["grid"]) == {"lon0", "lat0", "dlon", "dlat", "active_cells"}
+    assert set(doc["hazard"]["bases"][0]) == {"covariate", "knots", "degree"}
     samples = fitted_bundle.genesis_location.samples
     assert doc["genesis_location"]["samples"] == {
         "base64": base64.b64encode(samples.astype("<f8").tobytes()).decode(),

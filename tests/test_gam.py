@@ -11,6 +11,7 @@ from stormsim.catalog import StormTrack
 from stormsim.errors import SeparationError, ValidationError
 from stormsim.gam import (
     DEFAULT_COVARIATES,
+    MIN_AGE,
     GamFit,
     HazardDesign,
     SplineBasis,
@@ -219,7 +220,7 @@ def zero_fit():
         covariates=("age",), bases=(basis,), constraints=(Z,),
         slices=(slice(1, 1 + Z.shape[1]),), coef=np.zeros(1 + Z.shape[1]),
         smoothing=np.ones(1), gcv_score=0.0, aic=0.0, edf=1.0, deviance=0.0,
-        n_rows=0, converged=True,
+        n_rows=0,
     )
 
 
@@ -305,7 +306,7 @@ def test_tabulated_predictor_matches_linear_predictor(toy_catalog):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
             assert fit.coef[0] + sum(fit.smooth_effect(n, values[n])[0] for n in fit.covariates) \
                 == pytest.approx(want, rel=1e-12, abs=1e-12)
-            if name == "age" and values["age"] >= fit.min_age:
+            if name == "age" and values["age"] >= MIN_AGE:
                 assert hazard(fit, values, age=values["age"]) == pytest.approx(
                     float(expit(want)), rel=1e-12, abs=1e-300)
 
@@ -368,7 +369,7 @@ def test_spline_rows_match_scipy(knots, fractions, seed):
     fit = GamFit(covariates=("x",), bases=(basis,), constraints=(np.eye(n),),
                  slices=(slice(1, 1 + n),), coef=np.concatenate([[0.0], c]),
                  smoothing=np.ones(1), gcv_score=0.0, aic=0.0, edf=1.0, deviance=0.0,
-                 n_rows=0, converged=True)
+                 n_rows=0)
     table = fit._effect_tables()[0]
     breaks, coefs = table_oracle(knots, c)
     np.testing.assert_array_equal(table.breaks, breaks)

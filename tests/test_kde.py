@@ -99,7 +99,7 @@ def random_model(rng, d, n=40, circular=False):
     A = rng.standard_normal((d, d))
     cov = A @ A.T + d * np.eye(d)
     samples = rng.multivariate_normal(rng.uniform(-1, 1, d), cov, size=n)
-    return fit_kde(samples, structure="oriented", scale=1.0,
+    return fit_kde(samples, scale=1.0,
                    circular_dims=(0,) if circular else ())
 
 
@@ -143,13 +143,6 @@ def test_single_sample_needs_cov():
         fit_kde(np.array([[1.0, 2.0]]))
     model = fit_kde(np.array([[1.0, 2.0]]), cov=np.eye(2))
     assert model.n == 1
-
-
-def test_diagonal_structure():
-    rng = np.random.default_rng(0)
-    model = fit_kde(rng.standard_normal((50, 3)) @ np.diag([1, 2, 3]), structure="diagonal")
-    off = model.bandwidth - np.diag(np.diag(model.bandwidth))
-    assert np.all(off == 0.0)
 
 
 def test_independent_dims_zero_cross_terms():
@@ -273,7 +266,7 @@ def test_single_tuple_conditional_closed_form():
 
 def test_diagonal_bandwidth_means_unshifted():
     rng = np.random.default_rng(12)
-    model = fit_kde(rng.standard_normal((40, 2)) * [1.0, 3.0], structure="diagonal")
+    model = fit_kde(rng.standard_normal((40, 2)) * [1.0, 3.0], cov=np.diag([1.0, 9.0]))
     part_reg = conditional_info(model, {0: 0.5})
     w, ev = conditional_weights(model, {0: 0.5})
     # regression term vanishes: mixture mean is the weighted average of tuple values
